@@ -1,0 +1,5 @@
+"""Benchmark of the psq package: workloads, reference checks and layer tracing.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see README.md.
+"""
