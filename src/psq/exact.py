@@ -522,45 +522,3 @@ def oracle_conditional_log(dec: OracleDecomposition, n: int, t: float):
             raise ValueError(f"oracle density non-positive at (n={n}, t={t})")
         return mp.log(val)
 
-
-def oracle_unconditional_log(dec: OracleDecomposition, t: float):
-    """ln p(t) as an mpf."""
-    with mp.workdps(dec.digits + 10):
-        tt = mp.mpf(repr(t))
-        val = mp.fsum(
-            dec.uncond_coeffs[j] * mp.e ** (-dec.eigenvalues[j] * tt)
-            for j in range(dec.params.population)
-        )
-        if val <= 0:
-            raise ValueError(f"oracle density non-positive at t={t}")
-        return mp.log(val)
-
-
-def integrate_ode_mp(
-    gen: Generator, t_max: float, steps: int, digits: int = DEFAULT_ORACLE_DIGITS
-) -> list:
-    """RK4 in software arithmetic; returns the final state vector p(t_max)."""
-    if gen.dimension > ORACLE_MAX_N:
-        raise UnsupportedN(f"oracle limited to N <= {ORACLE_MAX_N}")
-    with mp.workdps(digits + 10):
-        h = mp.mpf(repr(t_max)) / steps
-        diag = [mp.mpf(repr(x)) for x in gen.diag]
-        sub = [mp.mpf(repr(x)) for x in gen.sub]
-        sup = [mp.mpf(repr(x)) for x in gen.sup]
-        n = gen.dimension
-
-        def matvec(v):
-            out = [diag[k] * v[k] for k in range(n)]
-            for k in range(n - 1):
-                out[k] += sup[k] * v[k + 1]
-                out[k + 1] += sub[k] * v[k]
-            return out
-
-        p = [mp.mpf(1) / (k + 1) for k in range(n)]
-        for _ in range(steps):
-            k1 = matvec(p)
-            k2 = matvec([p[i] + h / 2 * k1[i] for i in range(n)])
-            k3 = matvec([p[i] + h / 2 * k2[i] for i in range(n)])
-            k4 = matvec([p[i] + h * k3[i] for i in range(n)])
-            p = [p[i] + h / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(n)]
-        return p

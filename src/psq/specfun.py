@@ -10,15 +10,32 @@ parabolic_cylinder_H   the transition-layer integral H(Delta_1)
 harmonic               harmonic numbers
 find_root_bracketed    Brent root finding on a sign-changing bracket
 tanh_sinh / quad_adaptive / quad_to_infinity   quadrature kernels
+elementwise            a scalar function over an array, with the scalar bits
+
+Integrands
+----------
+The quadrature kernels take an integrand f of one float that returns a float
+or a complex.  Passed vectorized=True, they instead call f with a float64
+array of nodes, expecting the array of values that the scalar form would
+give element by element, bit for bit: the array integrands here use +, -,
+*, / and sqrt, which numpy rounds as `math` does, and take pow, exp and log
+through `elementwise`.  The keyword only states what f accepts; the kernel
+adds up the same terms in the same order either way, so it changes no
+result, only how many times f is called (for tanh_sinh, once for levels 0-5
+and once per deeper level, against once per node).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
@@ -181,16 +198,18 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
     s = 1.0 - rho
     width = math.sqrt(2.0 * 1500.0) / s
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        y = u - delta1
-        expo = -0.5 * s * s * y * y + p * math.log(u)
-        return math.exp(expo) if expo > -745.0 else 0.0
+    def integrand(u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+        pos = np.flatnonzero(u > 0.0)
+        y = u[pos] - delta1
+        expo = -0.5 * s * s * y * y + p * elementwise(math.log, u[pos])
+        live = expo > -745.0
+        out[pos[live]] = elementwise(math.exp, expo[live])
+        return out
 
     lo = 0.0
     hi = max(delta1, 0.0) + width
-    val = tanh_sinh(integrand, lo, hi, rel_tol=1e-11)
+    val = tanh_sinh(integrand, lo, hi, rel_tol=1e-11, vectorized=True)
     return val / math.sqrt(2.0 * math.pi)
 
 
@@ -252,60 +271,137 @@ class QuadratureSpec:
             raise ValueError("endpoint exponents must each be > -1")
 
 
+# tanh(pi/2 sinh 4) is within 1e-37 of 1: no level has a node past t = 4
+_T_MAX = 4.0
+# an array integrand gets levels 0-5 (257 nodes) in its first call, then one
+# call per deeper level; a scalar one gets one level at a time
+_FIRST_BATCH_LAST_LEVEL = 5
+
+
+@functools.cache
+def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Denominators exp(2 sh) + 1 and weights h pi/2 cosh t / cosh^2 sh of the
+    node pairs t = k h of one level (every k >= 1 at level 0, odd k after),
+    in ascending k, built once with scalar `math` like the nodes always were.
+
+    Pairs whose weight underflows end the level.  The denominators ascend,
+    so the pairs whose endpoint offset underflows in a call are a suffix.
+    """
+    h = math.ldexp(1.0, -level)
+    k, step = (1, 1) if level == 0 else (1, 2)
+    denoms: list[float] = []
+    weights: list[float] = []
+    while k * h <= _T_MAX:
+        t = k * h
+        sh = _PI_OVER_2 * math.sinh(t)
+        w = h * _PI_OVER_2 * math.cosh(t) / math.cosh(sh) ** 2
+        if w == 0.0:
+            break
+        denoms.append(math.exp(2.0 * sh) + 1.0)
+        weights.append(w)
+        k += step
+    denom, weight = np.array(denoms), np.array(weights)
+    denom.flags.writeable = weight.flags.writeable = False
+    return denom, weight
+
+
+@dataclass(frozen=True)
+class _NodeBatch:
+    """Levels first..last of the rule laid out as one node array: the
+    midpoint when level 0 is in, then each pair's upper and lower node."""
+
+    denom: np.ndarray  # per pair
+    weight: np.ndarray  # per node
+    ends: np.ndarray  # per level, one past its last node
+
+
+@functools.cache
+def _node_batch(first: int, last: int) -> _NodeBatch:
+    tables = [_level_table(j) for j in range(first, last + 1)]
+    weight = [np.repeat(w, 2) for _, w in tables]
+    if first == 0:
+        weight[0] = np.concatenate(([1.0 * _PI_OVER_2], weight[0]))
+    batch = _NodeBatch(
+        denom=np.concatenate([d for d, _ in tables]),
+        weight=np.concatenate(weight),
+        ends=np.cumsum([w.size for w in weight]),
+    )
+    for table in (batch.denom, batch.weight, batch.ends):
+        table.flags.writeable = False
+    return batch
+
+
 def tanh_sinh(
-    f: Callable[[float], float],
+    f: Callable,
     a: float,
     b: float,
     rel_tol: float = 1e-12,
     max_depth: int = 12,
+    *,
+    vectorized: bool = False,
 ) -> float:
     """Level-doubling tanh-sinh rule on [a, b].
 
     Nodes x = m + c*tanh(pi/2 sinh(t)) on a dyadically refined t-mesh; stops
-    when two successive levels agree to rel_tol.  Integrable endpoint
-    singularities are handled by the double-exponential node clustering.
+    when two successive levels agree to rel_tol, else raises
+    MaxDepthExceeded after max_depth refinements.  Integrable endpoint
+    singularities are handled by the double-exponential node clustering: f
+    is never evaluated at a or b.
+
+    f takes one float and returns a float or complex.  With
+    vectorized=True it instead takes a float64 array of nodes and returns
+    an array of their values; it is called once for levels 0-5 and once
+    per deeper level.  The keyword states what f accepts and changes no
+    result: each level's terms are summed in the same order either way.
     """
     if a == b:
         return 0.0
     if a > b:
-        return -tanh_sinh(f, b, a, rel_tol, max_depth)
+        return -tanh_sinh(f, b, a, rel_tol, max_depth, vectorized=vectorized)
     m = 0.5 * (a + b)
     c = 0.5 * (b - a)
-    t_max = 4.0  # tanh(pi/2 sinh 4) is within 1e-37 of 1
 
-    def node_sum(h: float, only_odd: bool) -> float:
-        total = 0.0
-        k = 1 if only_odd else 0
-        step = 2 if only_odd else 1
-        while k * h <= t_max:
-            if k == 0:
-                total += h * _PI_OVER_2 * f(m)
-                k += step
-                continue
-            t = k * h
-            sh = _PI_OVER_2 * math.sinh(t)
-            # distance of the node pair from the endpoints, c*(1 - tanh(sh))
-            # in the cancellation-free form; keeps singular-endpoint nodes
-            # exact instead of quantized at eps.
-            delta = c * 2.0 / (math.exp(2.0 * sh) + 1.0)
-            w = h * _PI_OVER_2 * math.cosh(t) / math.cosh(sh) ** 2
-            if delta == 0.0 or w == 0.0:
-                break
-            x_hi = b - delta
-            x_lo = a + delta
-            if x_hi < b:
-                total += w * f(x_hi)
-            if x_lo > a:
-                total += w * f(x_lo)
-            k += step
-        return total
+    def level_sums(batch: _NodeBatch):
+        # nodes b - delta and a + delta, with delta = c (1 - tanh sh) in the
+        # cancellation-free form that keeps singular-endpoint nodes exact
+        # instead of quantized at eps; a node that rounds onto its endpoint
+        # (delta underflowed or below half an ulp) is dropped
+        delta = c * 2.0 / batch.denom
+        lead = batch.weight.size - 2 * delta.size  # 1 for level 0's midpoint
+        x = np.empty(batch.weight.size)
+        keep = np.empty(x.size, dtype=bool)
+        x[:lead] = m
+        keep[:lead] = True
+        np.subtract(b, delta, out=x[lead::2])
+        np.add(a, delta, out=x[lead + 1 :: 2])
+        np.less(x[lead::2], b, out=keep[lead::2])
+        np.greater(x[lead + 1 :: 2], a, out=keep[lead + 1 :: 2])
+        nodes = x[keep]
+        if vectorized:
+            values = f(nodes)
+        else:
+            values = np.array([f(v) for v in nodes.tolist()])
+        terms = batch.weight[keep] * values
+        bounds = np.cumsum(keep)[batch.ends - 1].tolist()
+        lo = 0
+        for hi in bounds:
+            # a running total from 0.0 through the terms in node order:
+            # cumsum adds in that sequence, where np.sum would pair terms up
+            # and move the last bits
+            yield 0.0 + terms[lo:hi].cumsum()[-1].item() if hi > lo else 0.0
+            lo = hi
 
-    h = 1.0
-    total = node_sum(h, only_odd=False)
+    def all_level_sums():
+        first_last = min(_FIRST_BATCH_LAST_LEVEL, max_depth) if vectorized else 0
+        yield from level_sums(_node_batch(0, first_last))
+        for level in range(first_last + 1, max_depth + 1):
+            yield from level_sums(_node_batch(level, level))
+
+    sums = all_level_sums()
+    total = next(sums)
     prev = c * total
     for _ in range(max_depth):
-        h *= 0.5
-        total = 0.5 * total + node_sum(h, only_odd=True)
+        total = 0.5 * total + next(sums)
         cur = c * total
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
@@ -316,17 +412,24 @@ def tanh_sinh(
 
 
 def quad_adaptive(
-    f: Callable[[float], float],
+    f: Callable,
     a: float,
     b: float,
     spec: QuadratureSpec = QuadratureSpec(),
+    *,
+    vectorized: bool = False,
 ) -> float:
     """Integrate f over [a, b] honoring declared endpoint exponents.
 
     A declared exponent p at an endpoint means f ~ (distance)^p there; the
     substitution distance = w^(1/(p+1)) renders the integrand bounded before
     the tanh-sinh pass (for p = -1/2 this is the v = w^2 substitution).
+    f and vectorized follow the tanh_sinh contract.
     """
+
+    def power(w, y):
+        return elementwise(operator.pow, w, y) if vectorized else w**y
+
     g = f
     lo, hi = a, b
     if spec.exponent_a != 0.0:
@@ -334,8 +437,8 @@ def quad_adaptive(
         q = 1.0 / (p + 1.0)
         inner_a, inner_f = lo, g
 
-        def g_a(w: float, _f=inner_f, _a=inner_a, _q=q) -> float:
-            return _f(_a + w ** _q) * _q * w ** (_q - 1.0)
+        def g_a(w, _f=inner_f, _a=inner_a, _q=q):
+            return _f(_a + power(w, _q)) * _q * power(w, _q - 1.0)
 
         g = g_a
         lo, hi = 0.0, (hi - inner_a) ** (p + 1.0)
@@ -346,24 +449,41 @@ def quad_adaptive(
         q = 1.0 / (p + 1.0)
         inner_b, inner_f = hi, g
 
-        def g_b(w: float, _f=inner_f, _b=inner_b, _q=q) -> float:
-            return _f(_b - w ** _q) * _q * w ** (_q - 1.0)
+        def g_b(w, _f=inner_f, _b=inner_b, _q=q):
+            return _f(_b - power(w, _q)) * _q * power(w, _q - 1.0)
 
         g = g_b
         lo, hi = 0.0, (inner_b - lo) ** (p + 1.0)
-    return tanh_sinh(g, lo, hi, spec.rel_tol, spec.max_depth)
+    return tanh_sinh(g, lo, hi, spec.rel_tol, spec.max_depth, vectorized=vectorized)
 
 
 def quad_to_infinity(
-    f: Callable[[float], float],
+    f: Callable,
     a: float,
     rel_tol: float = 1e-12,
     max_depth: int = 12,
+    *,
+    vectorized: bool = False,
 ) -> float:
-    """Integrate f over [a, inf) via v = a + w/(1-w) and tanh-sinh on [0, 1)."""
+    """Integrate f over [a, inf) via v = a + w/(1-w) and tanh-sinh on [0, 1).
 
-    def g(w: float) -> float:
+    f and vectorized follow the tanh_sinh contract.
+    """
+
+    def g(w):
         r = 1.0 - w
         return f(a + w / r) / (r * r)
 
-    return tanh_sinh(g, 0.0, 1.0, rel_tol, max_depth)
+    return tanh_sinh(g, 0.0, 1.0, rel_tol, max_depth, vectorized=vectorized)
+
+
+def elementwise(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(v, *args) for each element v of the float64 array x, through Python floats.
+
+    Array integrands take pow, exp and log through here: numpy's SIMD loops
+    for them can round an ulp away from the C library behind `math` and float
+    `**`, and an array integrand must give the bits of its scalar form.
+    """
+    return np.fromiter(
+        map(fn, x.tolist(), *(itertools.repeat(v) for v in args)), float, x.size
+    )

@@ -15,7 +15,10 @@ enough tau.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BracketFailure,
@@ -30,6 +33,7 @@ from .errors import (
 )
 from .exact import ModelParams
 from .specfun import (
+    elementwise,
     elliptic_KE,
     find_root_bracketed,
     hermite_He,
@@ -584,29 +588,32 @@ def _t2_gap_lhs(a_val: float, c: float, rel_tol: float, max_depth: int = 12) -> 
     # sits at a piece endpoint
     rt_c = math.sqrt(c)
 
-    def h(w: float) -> float:
-        if w <= 1.0:
-            q = (c * w * w + a_val) * w * w + 1.0
-            rq = math.sqrt(q)
-            return -2.0 * (a_val * w * w + 1.0) / (rt_c * rq * (w * w * rt_c + rq))
-        u = (1.0 / w) ** 2
-        s = math.sqrt(c + a_val * u + u * u)
-        return -2.0 * (a_val + u) * u / (rt_c * s * (rt_c + s))
+    def h(w: np.ndarray) -> np.ndarray:
+        out = np.empty_like(w)
+        near = w <= 1.0
+        v = w[near]
+        q = (c * v * v + a_val) * v * v + 1.0
+        rq = np.sqrt(q)
+        out[near] = -2.0 * (a_val * v * v + 1.0) / (rt_c * rq * (v * v * rt_c + rq))
+        u = elementwise(operator.pow, 1.0 / w[~near], 2)
+        s = np.sqrt(c + a_val * u + u * u)
+        out[~near] = -2.0 * (a_val + u) * u / (rt_c * s * (rt_c + s))
+        return out
 
     if a_val >= 0.0:
-        return quad_to_infinity(h, 0.0, rel_tol, max_depth)
+        return quad_to_infinity(h, 0.0, rel_tol, max_depth, vectorized=True)
     k_min = math.sqrt(-a_val / (2.0 * c))
     w0 = (-a_val) ** -0.5
     if w0 >= 100.0 * k_min:
         # the positive tail past w0 is negligible, no balanced cancellation
-        return tanh_sinh(h, 0.0, k_min, rel_tol, max_depth) + quad_to_infinity(
-            h, k_min, rel_tol, max_depth
-        )
+        return tanh_sinh(
+            h, 0.0, k_min, rel_tol, max_depth, vectorized=True
+        ) + quad_to_infinity(h, k_min, rel_tol, max_depth, vectorized=True)
     lo, hi = (k_min, w0) if k_min <= w0 else (w0, k_min)
-    total = tanh_sinh(h, 0.0, lo, rel_tol, max_depth)
+    total = tanh_sinh(h, 0.0, lo, rel_tol, max_depth, vectorized=True)
     if hi > lo * (1.0 + 1e-14):
-        total += tanh_sinh(h, lo, hi, rel_tol, max_depth)
-    return total + quad_to_infinity(h, hi, rel_tol, max_depth)
+        total += tanh_sinh(h, lo, hi, rel_tol, max_depth, vectorized=True)
+    return total + quad_to_infinity(h, hi, rel_tol, max_depth, vectorized=True)
 
 
 def t2_solve_A(delta: float, rho: float) -> float:
@@ -678,20 +685,20 @@ def t2_evaluate(
         # For a_val < 0 the quartic under the root dips near w = sqrt(-A/2c)
         # and the integrand spikes; a knot there keeps tanh-sinh honest.
         if a_val >= 0.0:
-            return quad_to_infinity(h, 0.0, _EVAL_QUAD_TOL)
+            return quad_to_infinity(h, 0.0, _EVAL_QUAD_TOL, vectorized=True)
         w_min = math.sqrt(-a_val / (2.0 * c))
-        return tanh_sinh(h, 0.0, w_min, _EVAL_QUAD_TOL) + quad_to_infinity(
-            h, w_min, _EVAL_QUAD_TOL
-        )
+        return tanh_sinh(
+            h, 0.0, w_min, _EVAL_QUAD_TOL, vectorized=True
+        ) + quad_to_infinity(h, w_min, _EVAL_QUAD_TOL, vectorized=True)
 
-    def decay_kernel(w: float) -> float:
-        return 4.0 / 3.0 / math.sqrt((c * w * w + a_val) * w * w + 1.0)
+    def decay_kernel(w: np.ndarray) -> np.ndarray:
+        return 4.0 / 3.0 / np.sqrt((c * w * w + a_val) * w * w + 1.0)
 
     f_val = sr * a_val * delta / 3.0 - over_halfline(decay_kernel)
 
-    def pref_kernel(w: float) -> float:
+    def pref_kernel(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + a_val) * w * w + 1.0
-        return 2.0 * w**4 / q**1.5
+        return 2.0 * elementwise(operator.pow, w, 4) / elementwise(operator.pow, q, 1.5)
 
     i3 = over_halfline(pref_kernel)
     g0 = math.sqrt(2.0) * c**-1.25 * math.exp((1.0 + sr) / (2.0 * c)) * i3**-0.5
@@ -739,25 +746,25 @@ class XsigmaSolution:
     gamma0: float
 
 
-def _split_points(upper_w: float, c: float) -> tuple[float, ...]:
-    # the layer quadratic is flattest at w = c^(-1/4); splitting there turns
-    # a possible mid-panel spike into two endpoint features
+def _split_quad(h, upper_w: float, c: float, rel_tol: float) -> float:
+    # integral of the array integrand h over (0, upper_w); the layer
+    # quadratic is flattest at w = c^(-1/4), and splitting there turns a
+    # possible mid-panel spike into two endpoint features
     w_mid = c**-0.25
-    if upper_w > w_mid:
-        return (0.0, w_mid, upper_w)
-    return (0.0, upper_w)
+    knots = (0.0, w_mid, upper_w) if upper_w > w_mid else (0.0, upper_w)
+    return sum(
+        tanh_sinh(h, knots[i], knots[i + 1], rel_tol, vectorized=True)
+        for i in range(len(knots) - 1)
+    )
 
 
 def _bl_sigma_lhs(x: float, b1: float, c: float, rel_tol: float = _EQ_QUAD_TOL) -> float:
     # integral of [c v + 1/v + b1]^(-1/2) over (0, x), via v = w^2
-    def h(w: float) -> float:
+    def h(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + b1) * w * w + 1.0
-        return 2.0 * w * w / math.sqrt(q)
+        return 2.0 * w * w / np.sqrt(q)
 
-    knots = _split_points(math.sqrt(x), c)
-    return sum(
-        tanh_sinh(h, knots[i], knots[i + 1], rel_tol) for i in range(len(knots) - 1)
-    )
+    return _split_quad(h, math.sqrt(x), c, rel_tol)
 
 
 def _bl_sigma_lhs_d3(
@@ -768,11 +775,11 @@ def _bl_sigma_lhs_d3(
     beta = 1.0 / (c * alpha)
     gap = beta - alpha
 
-    def h(s: float) -> float:
-        return 2.0 * math.sqrt(alpha - s * s) / math.sqrt(c * (gap + s * s))
+    def h(s: np.ndarray) -> np.ndarray:
+        return 2.0 * np.sqrt(alpha - s * s) / np.sqrt(c * (gap + s * s))
 
-    tail = tanh_sinh(h, 0.0, math.sqrt(alpha - x), rel_tol)
-    full = tanh_sinh(h, 0.0, math.sqrt(alpha), rel_tol)
+    tail = tanh_sinh(h, 0.0, math.sqrt(alpha - x), rel_tol, vectorized=True)
+    full = tanh_sinh(h, 0.0, math.sqrt(alpha), rel_tol, vectorized=True)
     return tail + full
 
 
@@ -780,28 +787,22 @@ def _bl_eta_integral(
     upper: float, b1: float, c: float, rel_tol: float = _EVAL_QUAD_TOL
 ) -> float:
     # integral of sqrt(c v + 1/v + b1) over (0, upper), via v = w^2
-    def h(w: float) -> float:
+    def h(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + b1) * w * w + 1.0
-        return 2.0 * math.sqrt(q)
+        return 2.0 * np.sqrt(q)
 
-    knots = _split_points(math.sqrt(upper), c)
-    return sum(
-        tanh_sinh(h, knots[i], knots[i + 1], rel_tol) for i in range(len(knots) - 1)
-    )
+    return _split_quad(h, math.sqrt(upper), c, rel_tol)
 
 
 def _bl_gamma_integral(
     x: float, b1: float, c: float, rel_tol: float = _EVAL_QUAD_TOL
 ) -> float:
     # integral of [c v + 1/v + b1]^(-3/2) over (0, x), via v = w^2
-    def h(w: float) -> float:
+    def h(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + b1) * w * w + 1.0
-        return 2.0 * w**4 / q**1.5
+        return 2.0 * elementwise(operator.pow, w, 4) / elementwise(operator.pow, q, 1.5)
 
-    knots = _split_points(math.sqrt(x), c)
-    return sum(
-        tanh_sinh(h, knots[i], knots[i + 1], rel_tol) for i in range(len(knots) - 1)
-    )
+    return _split_quad(h, math.sqrt(x), c, rel_tol)
 
 
 def _gamma_prefactor(x: float, b1: float, rho: float, c: float) -> float:

@@ -14,9 +14,11 @@ from psq.errors import (
     ModulusOutOfRange,
     NoSignChange,
 )
+from psq import specfun
 from psq.specfun import (
     QuadratureSpec,
     cut_integral,
+    elementwise,
     elliptic_KE,
     find_root_bracketed,
     harmonic,
@@ -312,3 +314,118 @@ def test_quad_to_infinity() -> None:
         == pytest.approx(0.5, rel=1e-12)
     assert quad_to_infinity(lambda v: math.exp(-v), 2.0) \
         == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scalar and array integrands
+# ---------------------------------------------------------------------------
+
+# (scalar form, array form, a, b): the array path must return the scalar
+# path's float exactly, not approximately
+KERNEL_CASES = {
+    "smooth": (
+        lambda v: 4.0 / (1.0 + v * v),
+        lambda v: 4.0 / (1.0 + v * v),
+        0.0,
+        1.0,
+    ),
+    "endpoint_singular": (
+        lambda v: 1.0 / math.sqrt(v),
+        lambda v: 1.0 / np.sqrt(v),
+        0.0,
+        1.0,
+    ),
+    "complex": (
+        lambda v: (1.0 + 2j * v) / math.sqrt(v) / (1.0 - 1j * v),
+        lambda v: (1.0 + 2j * v) / np.sqrt(v) / (1.0 - 1j * v),
+        0.0,
+        3.0,
+    ),
+    "reversed_with_pow": (
+        lambda v: v**1.5 * math.exp(-v),
+        lambda v: elementwise(pow, v, 1.5) * elementwise(math.exp, -v),
+        5.0,
+        0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_tanh_sinh_array_path_same_bits(case: str) -> None:
+    scalar_f, array_f, a, b = KERNEL_CASES[case]
+    want = tanh_sinh(scalar_f, a, b)
+    got = tanh_sinh(array_f, a, b, vectorized=True)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def test_quad_to_infinity_array_path_same_bits() -> None:
+    want = quad_to_infinity(lambda v: v * math.exp(-v * v), 0.5)
+    got = quad_to_infinity(
+        lambda v: v * elementwise(math.exp, -v * v), 0.5, vectorized=True
+    )
+    assert got == want
+    want = quad_to_infinity(lambda v: 1.0 / (1.0 + v * v), 0.0, rel_tol=1e-11)
+    got = quad_to_infinity(
+        lambda v: 1.0 / (1.0 + v * v), 0.0, rel_tol=1e-11, vectorized=True
+    )
+    assert got == want
+
+
+def test_quad_adaptive_array_path_same_bits() -> None:
+    spec_a = QuadratureSpec(exponent_a=-0.5)
+    want = quad_adaptive(lambda v: math.cos(v) / math.sqrt(v), 0.0, 2.0, spec_a)
+    got = quad_adaptive(
+        lambda v: elementwise(math.cos, v) / np.sqrt(v), 0.0, 2.0, spec_a,
+        vectorized=True,
+    )
+    assert got == want
+    spec_b = QuadratureSpec(exponent_b=0.5)
+    want = quad_adaptive(lambda v: math.sqrt(1.0 - v), 0.0, 1.0, spec_b)
+    got = quad_adaptive(lambda v: np.sqrt(1.0 - v), 0.0, 1.0, spec_b, vectorized=True)
+    assert got == want
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_tanh_sinh_both_paths_give_up_alike(vectorized: bool) -> None:
+    # 1/v is not integrable at 0: every level grows the sum by about the same
+    for max_depth in (2, 12):
+        with pytest.raises(MaxDepthExceeded):
+            tanh_sinh(lambda v: 1.0 / v, 0.0, 1.0, max_depth=max_depth,
+                      vectorized=vectorized)
+
+
+def test_array_integrand_called_once_per_batch() -> None:
+    calls = []
+
+    def f(v: np.ndarray) -> np.ndarray:
+        calls.append(v.size)
+        return 1.0 / v
+
+    with pytest.raises(MaxDepthExceeded):
+        tanh_sinh(f, 0.0, 1.0, max_depth=8, vectorized=True)
+    # levels 0-5 in one call, then levels 6, 7 and 8 one call each
+    assert len(calls) == 4
+
+
+def test_level_tables_built_once() -> None:
+    specfun._level_table.cache_clear()
+    specfun._node_batch.cache_clear()
+
+    def integrate_both_ways() -> None:
+        for vectorized in (False, True):
+            f = KERNEL_CASES["endpoint_singular"][int(vectorized)]
+            tanh_sinh(f, 0.0, 1.0, vectorized=vectorized)
+            tanh_sinh(f, 2.0, 7.0, vectorized=vectorized)
+
+    integrate_both_ways()
+    built = specfun._level_table.cache_info().misses
+    assert built >= 6  # the array path's first call takes levels 0-5
+    integrate_both_ways()
+    assert specfun._level_table.cache_info().misses == built
+    for level in range(built):
+        denom, weight = specfun._level_table(level)
+        # ascending denominators make the pairs whose endpoint offset
+        # underflows a suffix of the level, as the scalar loop's break had it
+        assert (np.diff(denom) > 0.0).all()
+        assert (weight > 0.0).all()
