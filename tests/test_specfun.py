@@ -372,18 +372,37 @@ def test_quad_to_infinity_array_path_same_bits() -> None:
     assert got == want
 
 
-def test_quad_adaptive_array_path_same_bits() -> None:
-    spec_a = QuadratureSpec(exponent_a=-0.5)
-    want = quad_adaptive(lambda v: math.cos(v) / math.sqrt(v), 0.0, 2.0, spec_a)
-    got = quad_adaptive(
-        lambda v: elementwise(math.cos, v) / np.sqrt(v), 0.0, 2.0, spec_a,
-        vectorized=True,
-    )
-    assert got == want
-    spec_b = QuadratureSpec(exponent_b=0.5)
-    want = quad_adaptive(lambda v: math.sqrt(1.0 - v), 0.0, 1.0, spec_b)
-    got = quad_adaptive(lambda v: np.sqrt(1.0 - v), 0.0, 1.0, spec_b, vectorized=True)
-    assert got == want
+def test_domain_error_raises_on_both_paths() -> None:
+    # the layer kernel 2 w^2 / sqrt(Q) with Q = (c w^2 + b1) w^2 + 1 < 0
+    # for w in (0.60, 2): the scalar form raises math's ValueError, the array
+    # form FloatingPointError, instead of summing nan into MaxDepthExceeded
+    c, b1 = 0.5, -3.0
+    with pytest.raises(ValueError, match="math domain error"):
+        tanh_sinh(lambda w: 2.0 * w * w / math.sqrt((c * w * w + b1) * w * w + 1.0),
+                  0.0, 2.0)
+    with pytest.raises(FloatingPointError):
+        tanh_sinh(lambda w: 2.0 * w * w / np.sqrt((c * w * w + b1) * w * w + 1.0),
+                  0.0, 2.0, vectorized=True)
+    with pytest.raises(ZeroDivisionError):
+        tanh_sinh(lambda v: 1.0 / (v - 0.5), 0.0, 1.0)
+    with pytest.raises(FloatingPointError):
+        tanh_sinh(lambda v: 1.0 / (v - 0.5), 0.0, 1.0, vectorized=True)
+
+
+def test_domain_error_on_a_level_past_the_stop_is_not_raised() -> None:
+    # one bad node on level 5, which an array integrand gets in its first
+    # call but the scalar path, converging sooner, never evaluates (else it
+    # would raise here): the array path must not raise either
+    x_bad = 1.0 - 0.5 * 2.0 / specfun._level_table(5)[0][0]
+    seen = []
+
+    def f_array(v: np.ndarray) -> np.ndarray:
+        seen.append(bool((v == x_bad).any()))
+        return np.sqrt(np.where(v == x_bad, -1.0, 1.0 + v))
+
+    want = tanh_sinh(lambda v: math.sqrt(-1.0 if v == x_bad else 1.0 + v), 0.0, 1.0)
+    assert tanh_sinh(f_array, 0.0, 1.0, vectorized=True) == want
+    assert seen[0]
 
 
 @pytest.mark.parametrize("vectorized", [False, True])

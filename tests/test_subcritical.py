@@ -42,6 +42,16 @@ def test_layer_integrals_pinned(x, b1, sigma_lhs, eta, gamma) -> None:
     assert _bl_gamma_integral(x, b1, C) == gamma
 
 
+def test_layer_integral_below_its_floor_raises() -> None:
+    # b1 = -3 is below the layer's floor -2 sqrt(c) = -1.41, so
+    # Q = (c w^2 + b1) w^2 + 1 < 0 for w in (0.60, 2.38), most of the range
+    # (0, sqrt(2)) of w = sqrt(v): the kernel's sqrt raises, as math.sqrt
+    # did in its scalar form, instead of the nan reaching the stopping rule
+    # and coming back as MaxDepthExceeded
+    with pytest.raises(FloatingPointError):
+        _bl_sigma_lhs(2.0, -3.0, C)
+
+
 @pytest.mark.parametrize(
     "x, alpha, want",
     [(0.5, 0.9, 2.9203373568952546), (1.0, 1.3, 7.305095969247022)],
