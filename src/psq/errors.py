@@ -25,6 +25,12 @@ class UnsupportedN(PSQError):
     """Operation only defined for specific population sizes."""
 
 
+class InvalidInput(PSQError, ValueError):
+    """Argument outside an exact evaluator's domain: a time that is NaN or
+    negative, a state index that is not an integer in 0..N-1, or a generator
+    whose dimension is not the population N."""
+
+
 # -- special functions / numerics --------------------------------------------
 
 class ModulusOutOfRange(PSQError):

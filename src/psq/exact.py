@@ -14,13 +14,13 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DegenerateSpectrum, StepTooLarge, UnsupportedN
+from .errors import DegenerateSpectrum, InvalidInput, StepTooLarge, UnsupportedN
 
 NEGATIVE_CLAMP = -1e-12
 ORACLE_MAX_N = 64
@@ -92,32 +92,67 @@ class Generator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigen data of -A plus spectral coefficients and arrival weights.
+    """Eigen data of -A in the balanced form, plus arrival weights.
 
-    eigenvalues nu_j ascending and positive; eigenvectors phi[j, n] scaled so
-    phi[j, 0] = 1; cond_coeffs c_j and uncond_coeffs d_j reproduce
-    p_n(t) = sum_j c_j phi_j(n) exp(-nu_j t)  and  p(t) = sum_j d_j exp(-nu_j t).
+    eigenvalues nu_j are ascending and positive.  Densities are evaluated
+    through the balanced fields: sym_vectors holds the orthonormal
+    eigenvectors v_j of the symmetrized generator (row n is v(n) over all
+    modes), sym_coeffs the projections beta_j of the scaled initial state,
+    and scale the diagonal D_n = sqrt((n+1) pi_n).  Then
+    p_n(t) = (1/D_n) sum_j beta_j v_j(n) exp(-nu_j t) with every
+    beta_j v_j(n) of order one, and p(t) = sum_j d_j exp(-nu_j t) with
+    uncond_coeffs d_j = beta_j^2.
 
-    The terms c_j phi_j(n) span enormous magnitude ranges (the exact expansion
-    of the edge states cancels across 20+ decades), so densities are always
-    evaluated through the balanced fields: sym_vectors holds the orthonormal
-    eigenvectors v_j of the symmetrized generator, sym_coeffs the projections
-    beta_j of the scaled initial state, and scale the diagonal D_n =
-    sqrt((n+1) pi_n).  Then c_j phi_j(n) = beta_j v_j(n) / D_n with every
-    beta_j v_j(n) of order one.
+    The classical basis phi_j (scaled so phi_j(0) = 1) and coefficients c_j
+    with c_j phi_j(n) = beta_j v_j(n) / D_n are not stored: their terms span
+    enormous magnitude ranges (the exact expansion of the edge states
+    cancels across 20+ decades) and no density is evaluated from them.
+    reporting_basis() builds them on demand.
     """
 
     params: ModelParams
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # phi[j, n]
-    cond_coeffs: np.ndarray
     uncond_coeffs: np.ndarray
     weights: np.ndarray
-    sym_vectors: np.ndarray  # v[:, j], orthonormal
+    sym_vectors: np.ndarray  # v[n, j], orthonormal columns
     sym_coeffs: np.ndarray  # beta_j = <v_j, D p(0)>
     scale: np.ndarray  # D_n
     log_scale: np.ndarray  # log D_n, finite even where D_n underflows
-    scale_fallbacks: tuple[int, ...] = field(default=())
+
+    def reporting_basis(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(phi, c, fallbacks): the classical eigenvectors phi[j, n] and
+        coefficients c_j, so that in exact algebra c_j phi_j(n) =
+        beta_j v_j(n) / D_n.
+
+        Row j is scaled so phi_j(0) = 1 where v_j(0) / D_0 is not negligible
+        against the row's largest finite entry (such a row keeps inf or nan
+        where D_n underflows to 0); otherwise (mode j listed in fallbacks)
+        the row's finite entries are scaled to unit norm and the others set
+        to 0.  For display and small-N checks only: it costs O(N^2) memory
+        and a Python loop over the N modes, so it is meant for small N.
+        """
+        n = self.params.population
+        vec, d, beta = self.sym_vectors, self.scale, self.sym_coeffs
+        phi = np.empty((n, n))
+        c = np.empty(n)
+        fallbacks = []
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for j in range(n):
+                col = vec[:, j] / d
+                head = col[0]
+                big = np.abs(col[np.isfinite(col)]).max() if np.isfinite(col).any() else math.inf
+                if abs(head) > big * 1e-292 and np.isfinite(big):
+                    phi[j] = col / head
+                    c[j] = beta[j] * head
+                else:
+                    # divide by big first: the norm of entries near 1e+290
+                    # would overflow and leave a zero row with c_j = inf
+                    fin = np.where(np.isfinite(col), col, 0.0) / big
+                    s = float(np.linalg.norm(fin))
+                    phi[j] = fin / s
+                    c[j] = beta[j] * big * s
+                    fallbacks.append(j)
+        return phi, c, tuple(fallbacks)
 
 
 @dataclass(frozen=True)
@@ -161,10 +196,13 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
 
     With D_n = sqrt((n+1) pi_n), D A D^{-1} is symmetric tridiagonal with the
     same diagonal and off-diagonal sqrt(sup[n] * sub[n]); its eigenvectors map
-    back by D^{-1}.  Eigenvectors are rescaled so phi_j(0) = 1 (the spectral
-    coefficients are invariant under eigenvector scale).
+    back by D^{-1}.  Raises InvalidInput when gen and params disagree on N.
     """
     n = gen.dimension
+    if n != params.population:
+        raise InvalidInput(
+            f"generator dimension {n} does not match population {params.population}"
+        )
     logw = steady_state_log_weights(params)
     weights = np.exp(logw)
     off = np.sqrt(gen.sup * gen.sub)
@@ -181,40 +219,31 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
     d = np.exp(log_d)
     # beta_j = <v_j, D p(0)> with (D p(0))_n = D_n / (n + 1).
     beta = vec.T @ np.exp(log_d - np.log(np.arange(n) + 1.0))
-    # Reporting basis: phi_j(0) = 1 where possible, so that in exact algebra
-    # c_j phi_j(n) = beta_j v_j(n) / D_n.  phi and c are for display only;
-    # density evaluation sticks to the balanced beta / v / D form.
-    phi = np.empty((n, n))
-    c = np.empty(n)
-    fallbacks = []
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j in range(n):
-            col = vec[:, j] / d
-            head = col[0]
-            big = np.abs(col[np.isfinite(col)]).max() if np.isfinite(col).any() else math.inf
-            if abs(head) > big * 1e-292 and np.isfinite(big):
-                phi[j] = col / head
-                c[j] = beta[j] * head
-            else:
-                fin = np.where(np.isfinite(col), col, 0.0)
-                s = float(np.linalg.norm(fin))
-                phi[j] = fin / s
-                c[j] = beta[j] * s
-                fallbacks.append(j)
     d_coeff = beta * beta
     return SpectralDecomposition(
         params=params,
         eigenvalues=nu,
-        eigenvectors=phi,
-        cond_coeffs=c,
         uncond_coeffs=d_coeff,
         weights=weights,
         sym_vectors=vec,
         sym_coeffs=beta,
         scale=d,
         log_scale=log_d,
-        scale_fallbacks=tuple(fallbacks),
     )
+
+
+def _check_time(t: float) -> None:
+    """Raise InvalidInput unless t >= 0 (+inf allowed)."""
+    if not t >= 0.0:
+        raise InvalidInput(f"time must be >= 0, got {t}")
+
+
+def _check_state(spec: SpectralDecomposition, n: int) -> None:
+    """Raise InvalidInput unless n is an integer state index in 0..N-1."""
+    if not (isinstance(n, (int, np.integer)) and 0 <= n < spec.params.population):
+        raise InvalidInput(
+            f"state index {n!r} is not an integer in 0..{spec.params.population - 1}"
+        )
 
 
 def conditional_density_exact(spec: SpectralDecomposition, n: int, t: float) -> float:
@@ -222,10 +251,11 @@ def conditional_density_exact(spec: SpectralDecomposition, n: int, t: float) -> 
 
     Absolute error is of order eps / D_n: machine accurate for bulk states,
     while edge states with exponentially small D_n sit below the double
-    round-off floor (use the log variant or the oracle there).
+    round-off floor (use the log variant or the oracle there).  Raises
+    InvalidInput for a NaN or negative t or a state n outside 0..N-1.
     """
-    if not 0 <= n < spec.params.population:
-        raise ValueError(f"state index {n} outside 0..{spec.params.population - 1}")
+    _check_state(spec, n)
+    _check_time(t)
     w = float(
         (spec.sym_coeffs * spec.sym_vectors[n, :] * np.exp(-spec.eigenvalues * t)).sum()
     )
@@ -242,10 +272,11 @@ def conditional_density_exact_log(
     """(sign, log|p_n(t)|) for tail studies; sign 0 means every term underflowed.
 
     Runs in log space so large-t tails keep relative accuracy even when
-    exp(-nu_0 t) or D_n underflow double range.
+    exp(-nu_0 t) or D_n underflow double range.  t = +inf gives (0, -inf);
+    a NaN or negative t or a state n outside 0..N-1 raises InvalidInput.
     """
-    if not 0 <= n < spec.params.population:
-        raise ValueError(f"state index {n} outside 0..{spec.params.population - 1}")
+    _check_state(spec, n)
+    _check_time(t)
     terms = spec.sym_coeffs * spec.sym_vectors[n, :]
     with np.errstate(divide="ignore"):
         log_mags = np.log(np.abs(terms)) - spec.eigenvalues * t
@@ -259,12 +290,18 @@ def conditional_density_exact_log(
 
 
 def unconditional_density_exact(spec: SpectralDecomposition, t: float) -> float:
-    """p(t) = sum_j beta_j^2 exp(-nu_j t); every term is nonnegative."""
+    """p(t) = sum_j beta_j^2 exp(-nu_j t); every term is nonnegative.
+
+    Raises InvalidInput for a NaN or negative t."""
+    _check_time(t)
     return float((spec.uncond_coeffs * np.exp(-spec.eigenvalues * t)).sum())
 
 
 def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> float:
-    """log p(t), finite far beyond the underflow point of p itself."""
+    """log p(t), finite far beyond the underflow point of p itself.
+
+    Raises InvalidInput for a NaN or negative t."""
+    _check_time(t)
     with np.errstate(divide="ignore"):
         log_terms = np.log(spec.uncond_coeffs) - spec.eigenvalues * t
     m = float(log_terms.max())

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from psq.errors import StepTooLarge, UnsupportedN
+from psq.errors import InvalidInput, PSQError, StepTooLarge, UnsupportedN
 from psq.exact import (
     ModelParams,
     Regime,
@@ -280,6 +281,77 @@ def test_state_index_guard() -> None:
         conditional_density_exact_log(spec, -1, 1.0)
 
 
+def test_evaluators_reject_bad_time_and_state() -> None:
+    _, spec = _spec(8, 1.0)
+    for t in (math.nan, -1.0, -1e-300, -math.inf):
+        for fn in (conditional_density_exact, conditional_density_exact_log):
+            with pytest.raises(InvalidInput):
+                fn(spec, 3, t)
+        for fn in (unconditional_density_exact, unconditional_density_exact_log):
+            with pytest.raises(InvalidInput):
+                fn(spec, t)
+    for n in (3.5, 2.0, -1, 8, "3", None):
+        for fn in (conditional_density_exact, conditional_density_exact_log):
+            with pytest.raises(InvalidInput):
+                fn(spec, n, 1.0)
+    assert issubclass(InvalidInput, PSQError) and issubclass(InvalidInput, ValueError)
+
+
+def test_evaluators_accept_infinite_time_and_numpy_index() -> None:
+    _, spec = _spec(8, 1.0)
+    assert conditional_density_exact(spec, 3, math.inf) == 0.0
+    assert conditional_density_exact_log(spec, 3, math.inf) == (0, -math.inf)
+    assert unconditional_density_exact(spec, math.inf) == 0.0
+    assert unconditional_density_exact_log(spec, math.inf) == -math.inf
+    assert conditional_density_exact_log(spec, np.int64(3), 1.5) == (
+        conditional_density_exact_log(spec, 3, 1.5)
+    )
+
+
+def test_decompose_rejects_dimension_mismatch() -> None:
+    with pytest.raises(InvalidInput):
+        spectral_decompose(build_generator(ModelParams(40, 0.5)), ModelParams(50, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# reporting basis
+# ---------------------------------------------------------------------------
+
+def test_no_square_field_but_sym_vectors() -> None:
+    _, spec = _spec(16, 0.5)
+    square = [
+        f.name
+        for f in dataclasses.fields(spec)
+        if isinstance(getattr(spec, f.name), np.ndarray) and getattr(spec, f.name).ndim == 2
+    ]
+    assert square == ["sym_vectors"]
+
+
+@pytest.mark.parametrize("rho, n_fallback, first", [(0.25, 336, 36), (1.5, 0, None)])
+def test_reporting_basis_definition(rho: float, n_fallback: int, first: int | None) -> None:
+    population = 600
+    _, spec = _spec(population, rho)
+    phi, c, fallbacks = spec.reporting_basis()
+    assert phi.shape == (population, population) and c.shape == (population,)
+    assert len(fallbacks) == n_fallback
+    assert (fallbacks[0] if fallbacks else None) == first
+    assert list(fallbacks) == sorted(set(fallbacks))
+    head_rows = np.setdiff1d(np.arange(population), fallbacks)
+    assert (phi[head_rows, 0] == 1.0).all()
+    for j in fallbacks:
+        assert np.linalg.norm(phi[j]) == pytest.approx(1.0, abs=1e-14)
+    assert np.isfinite(c).all()
+    # c_j phi_j(n) = beta_j v_j(n) / D_n wherever the right side is finite;
+    # a unit-norm fallback row spans up to 1e+307, so its subnormal entries
+    # carry fewer digits and are left out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        want = spec.sym_coeffs[:, None] * (spec.sym_vectors.T / spec.scale[None, :])
+        got = c[:, None] * phi
+    mask = np.isfinite(want) & (np.abs(phi) >= np.finfo(float).tiny)
+    assert mask.any()
+    assert np.allclose(got[mask], want[mask], rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # extended-precision oracle
 # ---------------------------------------------------------------------------
@@ -289,8 +361,9 @@ def test_oracle_matches_double_solver() -> None:
     dec = oracle_decompose(params, digits=30)
     nu_mp = np.array([float(v) for v in dec.eigenvalues])
     assert np.abs(nu_mp - spec.eigenvalues).max() < 1e-12
+    _, c, _ = spec.reporting_basis()
     c_mp = np.array([float(v) for v in dec.cond_coeffs])
-    assert np.abs((c_mp - spec.cond_coeffs) / c_mp).max() < 1e-10
+    assert np.abs((c_mp - c) / c_mp).max() < 1e-10
     d_mp = np.array([float(v) for v in dec.uncond_coeffs])
     assert np.abs((d_mp - spec.uncond_coeffs) / d_mp).max() < 1e-10
 
