@@ -26,9 +26,13 @@ class UnsupportedN(PSQError):
 
 
 class InvalidInput(PSQError, ValueError):
-    """Argument outside an exact evaluator's domain: a time that is NaN or
+    """Argument outside a function's domain: model parameters with N < 2 or
+    rho not positive; for the exact evaluators a time that is NaN or
     negative, a state index that is not an integer in 0..N-1, or a generator
-    whose dimension is not the population N."""
+    whose dimension is not the population N; for the infinite model a state
+    that is not a nonnegative integer, a rho that is not positive and
+    finite, a time that is not positive and finite, or a transform argument
+    that is not finite with a positive real part."""
 
 
 # -- special functions / numerics --------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -25,17 +24,6 @@ from .errors import DegenerateSpectrum, InvalidInput, StepTooLarge, UnsupportedN
 NEGATIVE_CLAMP = -1e-12
 ORACLE_MAX_N = 64
 DEFAULT_ORACLE_DIGITS = 50
-
-
-def oracle_digits_default() -> int:
-    """Oracle precision in decimal digits, overridable via PSQ_DIGITS."""
-    raw = os.environ.get("PSQ_DIGITS", "")
-    if raw:
-        digits = int(raw)
-        if not 15 <= digits <= 200:
-            raise ValueError(f"PSQ_DIGITS must be in [15, 200], got {digits}")
-        return digits
-    return DEFAULT_ORACLE_DIGITS
 
 
 class Regime(enum.Enum):
@@ -53,9 +41,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.population, int) or self.population < 2:
-            raise ValueError(f"population must be an integer >= 2, got {self.population}")
+            raise InvalidInput(f"population must be an integer >= 2, got {self.population}")
         if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+            raise InvalidInput(f"rho must be positive, got {self.rho}")
 
     @property
     def regime(self) -> Regime:
@@ -488,7 +476,9 @@ class OracleDecomposition:
     weights: list
 
 
-def oracle_decompose(params: ModelParams, digits: int | None = None) -> OracleDecomposition:
+def oracle_decompose(
+    params: ModelParams, digits: int = DEFAULT_ORACLE_DIGITS
+) -> OracleDecomposition:
     """Spectral decomposition in software arithmetic, for tail validation.
 
     Guarded to N <= 64: the dense symmetric eigensolve is O(N^3) multi-
@@ -498,7 +488,6 @@ def oracle_decompose(params: ModelParams, digits: int | None = None) -> OracleDe
     n = params.population
     if n > ORACLE_MAX_N:
         raise UnsupportedN(f"oracle limited to N <= {ORACLE_MAX_N}, got {n}")
-    digits = digits if digits is not None else oracle_digits_default()
     if not 15 <= digits <= 200:
         raise ValueError(f"digits must be in [15, 200], got {digits}")
     with mp.workdps(digits + 10):

@@ -19,6 +19,11 @@ recurrence (integrate the defining ODE for the kernel by parts), so both
 solutions are needed; the finished resolvent is verified against a truncated
 tridiagonal solve in the tests.
 
+There is one transform path: transform_phat takes one theta or an array of
+them and integrates the decaying-solution pair for all of them in a single
+specfun.tanh_sinh call, and invert_density makes one transform_phat call for
+the head term and the whole Bromwich ladder.
+
 Accuracy note: the assembly balances factors z_-^(n+alpha) against
 z_-^(-n), so double precision holds up to roughly n ~ 30 for |theta| ~ 1e5;
 the package only needs single-digit n here.
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCollision, InversionUnstable
+from .errors import BranchCollision, InvalidInput, InversionUnstable
 from .specfun import cut_integral, loop_series_Q_log, tanh_sinh
 from .subcritical import LogDensityApprox
 from .supercritical import algebraic_tail_constant
@@ -65,8 +70,8 @@ class TransformPoint:
     alpha1: complex
 
     def __post_init__(self) -> None:
-        if self.theta.real <= 0.0:
-            raise ValueError(f"Re(theta) must be positive, got {self.theta}")
+        if not (cmath.isfinite(self.theta) and self.theta.real > 0.0):
+            raise InvalidInput(f"theta must be finite with Re > 0, got {self.theta}")
         prod = self.z_minus * self.z_plus
         rho = 1.0 / prod
         sum_ref = (1.0 + rho + self.theta) * prod
@@ -83,8 +88,8 @@ class TransformPoint:
     @classmethod
     def from_theta(cls, theta: complex, rho: float) -> TransformPoint:
         theta = complex(theta)
-        if theta.real <= 0.0:
-            raise ValueError(f"Re(theta) must be positive, got {theta}")
+        if not (cmath.isfinite(theta) and theta.real > 0.0):
+            raise InvalidInput(f"theta must be finite with Re > 0, got {theta}")
         b = 1.0 + rho + theta
         root = cmath.sqrt(b * b - 4.0 * rho)
         # larger-modulus root first, partner from the product z_- z_+ = 1/rho;
@@ -118,33 +123,8 @@ def _loop_phase(alpha: complex) -> complex:
         )
     return cmath.exp(1j * math.pi * alpha) / denom
 
-def _segment_integrals(n: int, pt: TransformPoint, rho: float) -> tuple[complex, complex]:
-    """Decaying-solution integral pair (h_tilde_n, T_n) over [0, z_-].
 
-    h_tilde_n = int z^n (z_+ - z)^(-a) (z_- - z)^(a-1) dz and T_n adds the
-    factor (rho z)^(n+1-n) ... concretely T_n = int (rho z)^(n+1) kernel
-    / (1 - rho z) dz, the tail sum of the source series.  Both reduce to
-    [0, 1] after z = z_- s; the principal branches never cross a cut there
-    because Im(1 - (z_-/z_+) s) has one sign along the segment.
-    """
-    a = pt.alpha1
-    x = pt.z_minus / pt.z_plus
-    y = rho * pt.z_minus
-
-    def kernel(s: float) -> complex:
-        return (1.0 - x * s) ** -a * (1.0 - s) ** (a - 1.0)
-
-    base = tanh_sinh(lambda s: s**n * kernel(s), 0.0, 1.0, rel_tol=1e-12)
-    tail = tanh_sinh(
-        lambda s: s ** (n + 1) * kernel(s) / (1.0 - y * s), 0.0, 1.0, rel_tol=1e-12
-    )
-    pref = pt.z_minus**a * pt.z_plus**-a
-    h_tilde = pref * pt.z_minus**n * base
-    t_n = pref * (rho * pt.z_minus) ** (n + 1) * tail
-    return h_tilde, t_n
-
-
-def transform_phat(n: int, theta: complex, rho: float) -> complex:
+def transform_phat(n: int, theta, rho: float):
     """Laplace transform of the infinite-population conditional density.
 
     Green-function assembly: with V_m the phase-carrying loop solution and
@@ -153,67 +133,52 @@ def transform_phat(n: int, theta: complex, rho: float) -> complex:
         p_hat_n = z_+^a z_-^(1-a) [h_tilde_n sum_{m<=n} rho^m V_m + V_n T_n] / V_0.
 
     The overall phase cancels between numerator and V_0, so real theta gives
-    a real transform.
+    a real transform.  theta is one complex or a 1-D array of them, and the
+    result is a complex or an array of the same length.
+
+    Over [0, z_-], h_tilde_n = int z^n (z_+ - z)^(-a) (z_- - z)^(a-1) dz and
+    T_n = int (rho z)^(n+1) (z_+ - z)^(-a) (z_- - z)^(a-1) / (1 - rho z) dz,
+    the tail sum of the source series.  Both reduce to [0, 1] after
+    z = z_- s; the principal branches never cross a cut there because
+    Im(1 - (z_-/z_+) s) has one sign along the segment.  One tanh-sinh call
+    integrates both for every theta, so the kernel
+    (1 - x s)^(-a) (1 - s)^(a-1) is formed once per node.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    pt = TransformPoint.from_theta(theta, rho)
-    a = pt.alpha1
-    phase = _loop_phase(a)
-    loop = [
-        phase * cut_integral(m, a, pt.z_minus, pt.z_plus) for m in range(n + 1)
-    ]
-    h_tilde, t_n = _segment_integrals(n, pt, rho)
-    source = sum(rho**m * loop[m] for m in range(n + 1))
-    scale = pt.z_plus**a * pt.z_minus ** (1.0 - a)
-    return scale * (h_tilde * source + loop[n] * t_n) / loop[0]
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise InvalidInput(f"n must be a nonnegative integer, got {n}")
+    if not 0.0 < rho < math.inf:
+        raise InvalidInput(f"rho must be positive and finite, got {rho}")
+    thetas = np.asarray(theta, dtype=complex)
+    if thetas.ndim > 1:
+        raise InvalidInput(f"theta must be a scalar or 1-D, got shape {thetas.shape}")
+    pts = [TransformPoint.from_theta(th, rho) for th in thetas.ravel().tolist()]
+    alphas = np.array([pt.alpha1 for pt in pts])
+    x = np.array([pt.z_minus / pt.z_plus for pt in pts])
+    y = np.array([rho * pt.z_minus for pt in pts])
 
+    def integrand(s: np.ndarray) -> np.ndarray:
+        col = s[:, None]
+        kernel = (1.0 - x * col) ** -alphas * np.exp((alphas - 1.0) * np.log1p(-col))
+        base = col**n * kernel
+        return np.concatenate((base, base * col / (1.0 - y * col)), axis=1)
 
-# ---------------------------------------------------------------------------
-# vectorized transform ladder for the Bromwich inversion
-# ---------------------------------------------------------------------------
-
-
-def _tanh_sinh_grid(step: float = 0.05, span: float = 3.6):
-    """Fixed double-exponential rule for (0, 1) with stable endpoint offsets."""
-    u = np.arange(-span, span + 0.5 * step, step)
-    g = 0.5 * math.pi * np.sinh(u)
-    s = 1.0 / (1.0 + np.exp(-2.0 * g))
-    one_minus_s = 1.0 / (1.0 + np.exp(2.0 * g))
-    w = step * math.pi * np.cosh(u) * s * one_minus_s
-    keep = (s > 0.0) & (one_minus_s > 0.0) & (w > 0.0)
-    return s[keep], one_minus_s[keep], w[keep]
-
-
-_TS_S, _TS_1MS, _TS_W = _tanh_sinh_grid()
-
-
-def _phat_ladder(n: int, rho: float, thetas: np.ndarray) -> np.ndarray:
-    """transform_phat over many theta values, quadratures vectorized."""
-    out = np.empty(len(thetas), dtype=complex)
-    s = _TS_S
-    log_1ms = np.log(_TS_1MS)
-    for i, theta in enumerate(thetas):
-        pt = TransformPoint.from_theta(theta, rho)
+    base, tail = np.split(
+        tanh_sinh(integrand, 0.0, 1.0, rel_tol=1e-12, vectorized=True), 2
+    )
+    out = np.empty(len(pts), dtype=complex)
+    for i, pt in enumerate(pts):
         a = pt.alpha1
-        x = pt.z_minus / pt.z_plus
-        y = rho * pt.z_minus
-        kern = (1.0 - x * s) ** -a * np.exp((a - 1.0) * log_1ms)
-        base = np.sum(_TS_W * s**n * kern)
-        tail = np.sum(_TS_W * s ** (n + 1) * kern / (1.0 - y * s))
-        pref = pt.z_minus**a * pt.z_plus**-a
-        h_tilde = pref * pt.z_minus**n * base
-        t_n = pref * (rho * pt.z_minus) ** (n + 1) * tail
         phase = _loop_phase(a)
         loop = [
             phase * cut_integral(m, a, pt.z_minus, pt.z_plus) for m in range(n + 1)
         ]
+        pref = pt.z_minus**a * pt.z_plus**-a
+        h_tilde = pref * pt.z_minus**n * base[i]
+        t_n = pref * (rho * pt.z_minus) ** (n + 1) * tail[i]
         source = sum(rho**m * loop[m] for m in range(n + 1))
         scale = pt.z_plus**a * pt.z_minus ** (1.0 - a)
         out[i] = scale * (h_tilde * source + loop[n] * t_n) / loop[0]
-    return out
+    return complex(out[0]) if thetas.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +200,18 @@ def invert_density(
     pi/(t*step_scale), Euler-accelerated over trailing partial-sum blocks.
     step_scale = 2 halves the step for the self-consistency check.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise InvalidInput(f"t must be positive and finite, got {t}")
     if step_scale not in (1, 2):
         raise ValueError(f"step_scale must be 1 or 2, got {step_scale}")
     a = _AW_A / (2.0 * t)
     h = math.pi / (t * step_scale)
     n_terms = (base_blocks + euler_blocks) * step_scale
-    ks = np.arange(1, n_terms + 1)
-    thetas = a + 1j * h * ks
-    vals = _phat_ladder(n, rho, thetas)
-    head = transform_phat(n, a, rho).real
-    terms = np.real(vals * np.exp(1j * (h * t) * ks))
-    partial = 0.5 * head + np.cumsum(terms)
+    ks = np.arange(n_terms + 1)
+    # the head term at theta = a and the ladder in one transform call
+    vals = transform_phat(n, a + 1j * h * ks, rho)
+    terms = np.real(vals[1:] * np.exp(1j * (h * t) * ks[1:]))
+    partial = 0.5 * vals[0].real + np.cumsum(terms)
     blocks = partial[step_scale - 1 :: step_scale]
 
     def euler_avg(start: int) -> float:

@@ -9,7 +9,7 @@ cut_integral           branch-cut loop integral by residue-at-infinity extractio
 parabolic_cylinder_H   the transition-layer integral H(Delta_1)
 harmonic               harmonic numbers
 find_root_bracketed    Brent root finding on a sign-changing bracket
-tanh_sinh / quad_adaptive / quad_to_infinity   quadrature kernels
+tanh_sinh / quad_to_infinity   quadrature kernels
 elementwise            a scalar function over an array, with the scalar bits
 
 Integrands
@@ -31,6 +31,12 @@ going on with nan or inf.  Levels 0-5 that f got together are evaluated
 again one at a time after such an error, so f raises only on a level the
 stopping rule uses, as the scalar form does.  numpy also raises on inf - inf
 and 0 * inf, which Python floats turn into nan without an error.
+
+An array f may also return shape (m, k) for its m nodes, a trailing axis of
+k integrands that share the nodes, such as one per transform argument; the
+kernel then returns the k integrals as an array, each column added up in
+node order, and refines until every column meets the tolerance.  Such an f
+has no scalar form to match, so it may use numpy's pow, exp and log.
 """
 
 from __future__ import annotations
@@ -262,22 +268,6 @@ def find_root_bracketed(
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and endpoint-singularity exponents for quad_adaptive."""
-
-    rel_tol: float = 1e-12
-    max_depth: int = 12
-    exponent_a: float = 0.0
-    exponent_b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 1e-14 <= self.rel_tol <= 1e-3:
-            raise ValueError(f"rel_tol must be in [1e-14, 1e-3], got {self.rel_tol}")
-        if self.exponent_a <= -1.0 or self.exponent_b <= -1.0:
-            raise ValueError("endpoint exponents must each be > -1")
-
-
 # tanh(pi/2 sinh 4) is within 1e-37 of 1: no level has a node past t = 4
 _T_MAX = 4.0
 # an array integrand gets levels 0-5 (257 nodes) in its first call, then one
@@ -348,7 +338,7 @@ def tanh_sinh(
     max_depth: int = 12,
     *,
     vectorized: bool = False,
-) -> float:
+) -> float | np.ndarray:
     """Level-doubling tanh-sinh rule on [a, b].
 
     Nodes x = m + c*tanh(pi/2 sinh(t)) on a dyadically refined t-mesh; stops
@@ -364,6 +354,10 @@ def tanh_sinh(
     level's terms are summed in the same order either way, so the result is
     the same where f raises at no node the rule uses (the module docstring
     gives the cases where the two forms raise differently).
+
+    An array f may return shape (m, k) for its m nodes: k integrals over
+    the same nodes, returned as a length-k array, each column summed in node
+    order.  The rule then stops only when every column meets rel_tol.
     """
     if a == b:
         return 0.0
@@ -372,7 +366,7 @@ def tanh_sinh(
     m = 0.5 * (a + b)
     c = 0.5 * (b - a)
 
-    def level_sums(batch: _NodeBatch) -> list[float]:
+    def level_sums(batch: _NodeBatch) -> list:
         # nodes b - delta and a + delta, with delta = c (1 - tanh sh) in the
         # cancellation-free form that keeps singular-endpoint nodes exact
         # instead of quantized at eps; a node that rounds onto its endpoint
@@ -395,14 +389,21 @@ def tanh_sinh(
                 values = f(nodes)
         else:
             values = np.array([f(v) for v in nodes.tolist()])
-        terms = batch.weight[keep] * values
+        weight = batch.weight[keep]
         ends = np.cumsum(keep)[batch.ends - 1].tolist()
+        levels = zip([0] + ends[:-1], ends)
         # a running total from 0.0 through each level's terms in node order:
         # cumsum adds in that sequence, where np.sum would pair terms up and
         # move the last bits
+        if values.ndim == 2:  # one column per integral
+            terms = weight[:, None] * values
+            return [
+                terms[lo:hi].cumsum(axis=0)[-1] if hi > lo else 0.0 for lo, hi in levels
+            ]
+        terms = weight * values
         return [
             0.0 + terms[lo:hi].cumsum()[-1].item() if hi > lo else 0.0
-            for lo, hi in zip([0] + ends[:-1], ends)
+            for lo, hi in levels
         ]
 
     def all_level_sums():
@@ -426,51 +427,16 @@ def tanh_sinh(
     for _ in range(max_depth):
         total = 0.5 * total + next(sums)
         cur = c * total
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if isinstance(cur, np.ndarray):
+            # k integrals: stop only when every one of them has converged
+            if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)):
+                return cur
+        elif abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise MaxDepthExceeded(
         f"tanh-sinh did not reach rel_tol={rel_tol} within {max_depth} levels"
     )
-
-
-def quad_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Integrate f over [a, b] honoring declared endpoint exponents.
-
-    A declared exponent p at an endpoint means f ~ (distance)^p there; the
-    substitution distance = w^(1/(p+1)) renders the integrand bounded before
-    the tanh-sinh pass (for p = -1/2 this is the v = w^2 substitution).
-    """
-    g = f
-    lo, hi = a, b
-    if spec.exponent_a != 0.0:
-        p = spec.exponent_a
-        q = 1.0 / (p + 1.0)
-        inner_a, inner_f = lo, g
-
-        def g_a(w: float, _f=inner_f, _a=inner_a, _q=q) -> float:
-            return _f(_a + w ** _q) * _q * w ** (_q - 1.0)
-
-        g = g_a
-        lo, hi = 0.0, (hi - inner_a) ** (p + 1.0)
-    if spec.exponent_b != 0.0:
-        if spec.exponent_a != 0.0:
-            raise ValueError("declare at most one singular endpoint per call")
-        p = spec.exponent_b
-        q = 1.0 / (p + 1.0)
-        inner_b, inner_f = hi, g
-
-        def g_b(w: float, _f=inner_f, _b=inner_b, _q=q) -> float:
-            return _f(_b - w ** _q) * _q * w ** (_q - 1.0)
-
-        g = g_b
-        lo, hi = 0.0, (inner_b - lo) ** (p + 1.0)
-    return tanh_sinh(g, lo, hi, spec.rel_tol, spec.max_depth)
 
 
 def quad_to_infinity(

@@ -20,7 +20,6 @@ from psq.exact import (
     integrate_ode,
     oracle_conditional_log,
     oracle_decompose,
-    oracle_digits_default,
     orthogonality_residual,
     reconstruction_residual,
     small_n_rates,
@@ -51,6 +50,13 @@ def test_params_validation() -> None:
         ModelParams(8, 0.0)
     with pytest.raises(ValueError):
         ModelParams(8, -2.0)
+
+
+def test_params_raise_invalid_input() -> None:
+    with pytest.raises(InvalidInput):
+        ModelParams(1, 0.5)
+    with pytest.raises(InvalidInput):
+        ModelParams(8, math.nan)
 
 
 def test_regime_classification() -> None:
@@ -390,15 +396,8 @@ def test_oracle_unit_mass() -> None:
         assert abs(float(total) - 1.0) < 1e-25
 
 
-def test_oracle_guards(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_oracle_guards() -> None:
     with pytest.raises(UnsupportedN):
         oracle_decompose(ModelParams(65, 0.5))
     with pytest.raises(ValueError):
         oracle_decompose(ModelParams(8, 0.5), digits=10)
-    monkeypatch.setenv("PSQ_DIGITS", "80")
-    assert oracle_digits_default() == 80
-    monkeypatch.setenv("PSQ_DIGITS", "10")
-    with pytest.raises(ValueError):
-        oracle_digits_default()
-    monkeypatch.delenv("PSQ_DIGITS")
-    assert oracle_digits_default() == 50

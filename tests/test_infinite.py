@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
-from psq.errors import BranchCollision
+from psq.errors import BranchCollision, InvalidInput
 from psq.infinite import (
     TransformPoint,
     invert_density,
@@ -62,6 +62,18 @@ def test_transform_matches_truncated_solve() -> None:
         got = transform_phat(n, theta, rho)
         ref = phat_truncated_solve(n, theta, rho)
         assert abs(got - ref) <= 1e-11 * abs(ref), (n, theta, rho)
+    # one array call per (n, rho) over every theta of the table, as the
+    # inversion ladder calls it: each element against the banded solve and
+    # against the scalar call
+    thetas = np.array([theta for _, theta, _ in ORACLE_CASES])
+    for n, rho in {(n, rho) for n, _, rho in ORACLE_CASES}:
+        got = transform_phat(n, thetas, rho)
+        assert got.shape == thetas.shape
+        for theta, val in zip(thetas, got):
+            ref = phat_truncated_solve(n, theta, rho)
+            assert abs(val - ref) <= 1e-11 * abs(ref), (n, theta, rho)
+            one = transform_phat(n, theta, rho)
+            assert abs(val - one) <= 1e-12 * abs(one), (n, theta, rho)
 
 
 def test_vieta_identities() -> None:
@@ -164,6 +176,26 @@ def test_invert_guards() -> None:
         invert_density(2, 0.0, 0.5)
     with pytest.raises(ValueError):
         invert_density(2, 1.0, 0.5, step_scale=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: invert_density(2, math.nan, 0.5),
+        lambda: invert_density(2, math.inf, 0.5),
+        lambda: invert_density(2, 1.0, math.nan),
+        lambda: invert_density(2.5, 1.0, 0.5),
+        lambda: transform_phat(1, math.nan, 0.5),
+        lambda: transform_phat(1, math.inf, 0.5),
+        lambda: transform_phat(1, np.array([1.0, math.nan]), 0.5),
+        lambda: transform_phat(1, np.ones((2, 2)), 0.5),
+    ],
+    ids=["t_nan", "t_inf", "rho_nan", "n_fractional", "theta_nan", "theta_inf",
+         "theta_array_nan", "theta_2d"],
+)
+def test_invalid_input_raised(call) -> None:
+    with pytest.raises(InvalidInput):
+        call()
 
 
 def _panel(f, a: float, b: float, order: int = 24) -> float:

@@ -16,7 +16,6 @@ from psq.errors import (
 )
 from psq import specfun
 from psq.specfun import (
-    QuadratureSpec,
     cut_integral,
     elementwise,
     elliptic_KE,
@@ -26,7 +25,6 @@ from psq.specfun import (
     loop_series_Q,
     loop_series_Q_log,
     parabolic_cylinder_H,
-    quad_adaptive,
     quad_to_infinity,
     tanh_sinh,
 )
@@ -283,28 +281,23 @@ def test_tanh_sinh_max_depth() -> None:
                   rel_tol=1e-13, max_depth=2)
 
 
-def test_quad_adaptive_declared_exponents() -> None:
-    spec_a = QuadratureSpec(exponent_a=-0.5)
-    val = quad_adaptive(lambda v: 1.0 / math.sqrt(v), 0.0, 1.0, spec_a)
-    assert val == pytest.approx(2.0, rel=1e-11)
-    spec_b = QuadratureSpec(exponent_b=0.5)
-    val = quad_adaptive(lambda v: math.sqrt(1.0 - v), 0.0, 1.0, spec_b)
-    assert val == pytest.approx(2.0 / 3.0, rel=1e-11)
+def test_tanh_sinh_columns_match_closed_forms() -> None:
+    # an array integrand of shape (m, k) gives k integrals over one node set
+    def f(v):
+        return np.stack([4.0 / (1.0 + v * v), 1.0 / np.sqrt(v), v, np.exp(1j * v)], axis=1)
+
+    got = tanh_sinh(f, 0.0, 1.0, vectorized=True)
+    want = [math.pi, 2.0, 0.5, cmath.sin(1.0) + 1j * (1.0 - math.cos(1.0))]
+    assert got.shape == (4,)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-11 * abs(w)
 
 
-def test_quad_adaptive_rejects_two_singular_ends() -> None:
-    spec = QuadratureSpec(exponent_a=-0.5, exponent_b=-0.5)
-    with pytest.raises(ValueError):
-        quad_adaptive(lambda v: 1.0, 0.0, 1.0, spec)
-
-
-def test_quadrature_spec_validation() -> None:
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=1e-2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        QuadratureSpec(exponent_a=-1.0)
+def test_tanh_sinh_columns_stop_only_when_all_converge() -> None:
+    assert tanh_sinh(lambda v: 1.0 + v, 0.0, 1.0, vectorized=True) == pytest.approx(1.5)
+    with pytest.raises(MaxDepthExceeded):
+        tanh_sinh(lambda v: np.stack([1.0 + v, 1.0 / v], axis=1), 0.0, 1.0,
+                  vectorized=True)
 
 
 def test_quad_to_infinity() -> None:
