@@ -29,10 +29,14 @@ class InvalidInput(PSQError, ValueError):
     """Argument outside a function's domain: model parameters with N < 2 or
     rho not positive; for the exact evaluators a time that is NaN or
     negative, a state index that is not an integer in 0..N-1, or a generator
-    whose dimension is not the population N; for the infinite model a state
+    whose dimension is not the population N; an ODE horizon that is not
+    positive and finite, a state index outside the N = 2 / N = 3 closed
+    forms, or oracle digits outside [15, 200]; for the infinite model a state
     that is not a nonnegative integer, a rho that is not positive and
-    finite, a time that is not positive and finite, or a transform argument
-    that is not finite with a positive real part."""
+    finite, a time that is not positive and finite (at least 10 for the tail
+    formula), a transform argument that is not finite with a positive real
+    part, an inversion step_scale other than 1 or 2, or a tail mass bound
+    outside (0, 1)."""
 
 
 # -- special functions / numerics --------------------------------------------

@@ -343,8 +343,8 @@ def integrate_ode(
     The step honors step * nu_max <= 0.1 where nu_max is the largest decay
     rate; a caller-forced larger step raises StepTooLarge.
     """
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
     nu_max = float(-eigh_tridiagonal(
         gen.diag, np.sqrt(gen.sup * gen.sub), eigvals_only=True
     )[0])
@@ -427,7 +427,7 @@ def closed_form_small_N(params: ModelParams, n: int, t: float) -> float:
     rho = params.rho
     if params.population == 2:
         if n not in (0, 1):
-            raise ValueError(f"state index {n} outside 0..1")
+            raise InvalidInput(f"state index {n} outside 0..1")
         nu0, nu1 = small_n_rates(params)
         root = math.sqrt((rho + 4.0) / rho)
         if n == 0:
@@ -440,7 +440,7 @@ def closed_form_small_N(params: ModelParams, n: int, t: float) -> float:
         )
     if params.population == 3:
         if n not in (0, 1, 2):
-            raise ValueError(f"state index {n} outside 0..2")
+            raise InvalidInput(f"state index {n} outside 0..2")
         nu = small_n_rates(params)
         # Solve the 3x3 system fixing the t = 0 values (1, 1/2, 1/3).
         a = np.vstack([
@@ -489,7 +489,7 @@ def oracle_decompose(
     if n > ORACLE_MAX_N:
         raise UnsupportedN(f"oracle limited to N <= {ORACLE_MAX_N}, got {n}")
     if not 15 <= digits <= 200:
-        raise ValueError(f"digits must be in [15, 200], got {digits}")
+        raise InvalidInput(f"digits must be in [15, 200], got {digits}")
     with mp.workdps(digits + 10):
         rho = mp.mpf(repr(params.rho))
         nn = mp.mpf(n)

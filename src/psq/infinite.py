@@ -49,6 +49,9 @@ _VIETA_TOL = 1e-12
 _AW_A = 18.4
 _AW_BASE_BLOCKS = 38
 _AW_EULER_BLOCKS = 13
+_EULER_WEIGHTS = np.array(
+    [math.comb(_AW_EULER_BLOCKS, j) for j in range(_AW_EULER_BLOCKS + 1)], dtype=float
+)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +194,6 @@ def invert_density(
     t: float,
     rho: float,
     step_scale: int = 1,
-    base_blocks: int = _AW_BASE_BLOCKS,
-    euler_blocks: int = _AW_EULER_BLOCKS,
 ) -> float:
     """Conditional sojourn density p_n(t) of the infinite-population model.
 
@@ -203,10 +204,10 @@ def invert_density(
     if not 0.0 < t < math.inf:
         raise InvalidInput(f"t must be positive and finite, got {t}")
     if step_scale not in (1, 2):
-        raise ValueError(f"step_scale must be 1 or 2, got {step_scale}")
+        raise InvalidInput(f"step_scale must be 1 or 2, got {step_scale}")
     a = _AW_A / (2.0 * t)
     h = math.pi / (t * step_scale)
-    n_terms = (base_blocks + euler_blocks) * step_scale
+    n_terms = (_AW_BASE_BLOCKS + _AW_EULER_BLOCKS) * step_scale
     ks = np.arange(n_terms + 1)
     # the head term at theta = a and the ladder in one transform call
     vals = transform_phat(n, a + 1j * h * ks, rho)
@@ -215,14 +216,11 @@ def invert_density(
     blocks = partial[step_scale - 1 :: step_scale]
 
     def euler_avg(start: int) -> float:
-        window = blocks[start : start + euler_blocks + 1]
-        weights = np.array(
-            [math.comb(euler_blocks, j) for j in range(euler_blocks + 1)], dtype=float
-        )
-        return float(np.dot(weights, window)) / 2.0**euler_blocks
+        window = blocks[start : start + _AW_EULER_BLOCKS + 1]
+        return float(np.dot(_EULER_WEIGHTS, window)) / 2.0**_AW_EULER_BLOCKS
 
-    est = euler_avg(base_blocks - 1)
-    shifted = euler_avg(base_blocks - 2)
+    est = euler_avg(_AW_BASE_BLOCKS - 1)
+    shifted = euler_avg(_AW_BASE_BLOCKS - 2)
     osc = abs(est - shifted)
     term_scale = max(1.0, float(np.max(np.abs(terms))))
     if osc > 1e-5 * abs(est) and osc > 1e-12 * term_scale:
@@ -244,10 +242,10 @@ def tail_asym_infinite(n: int, t: float, rho: float) -> LogDensityApprox:
     and algebraic prefactor t^(-5/6).  rho > 1: pure algebraic tail
     C t^(-alpha0), constant delegated to the overloaded-regime module.
     """
-    if t < 10.0:
-        raise ValueError(f"tail formula requires t >= 10, got {t}")
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not t >= 10.0:
+        raise InvalidInput(f"tail formula requires t >= 10, got {t}")
+    if not 0.0 < rho < math.inf:
+        raise InvalidInput(f"rho must be positive and finite, got {rho}")
     if rho >= 1.0:
         alpha0 = rho / (rho - 1.0)
         const = algebraic_tail_constant(n, rho)
@@ -280,7 +278,7 @@ def tail_asym_infinite(n: int, t: float, rho: float) -> LogDensityApprox:
 def tail_truncation_time(n: int, rho: float, mass_bound: float) -> float:
     """Time beyond which the remaining tail mass is below mass_bound."""
     if not 0.0 < mass_bound < 1.0:
-        raise ValueError(f"mass_bound must lie in (0, 1), got {mass_bound}")
+        raise InvalidInput(f"mass_bound must lie in (0, 1), got {mass_bound}")
     approx = tail_asym_infinite(n, 10.0, rho)
     if rho >= 1.0:
         alpha0 = rho / (rho - 1.0)

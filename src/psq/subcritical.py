@@ -39,7 +39,9 @@ from .specfun import (
     hermite_He,
     loop_series_Q_log,
     parabolic_cylinder_H,
-    quad_to_infinity,
+    # not used in this module; kept importable from it because perfbench's
+    # tracer test calls subcritical.quad_to_infinity
+    quad_to_infinity,  # noqa: F401
     tanh_sinh,
 )
 from .supercritical import XiTauPoint
@@ -187,23 +189,18 @@ REGIME_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassifierBands:
-    """Thresholds steering which approximation a point (n, t) is sent to.
-
-    All of these are artifact parameters, not model quantities: n_corner and
-    t_corner bound the O(1) corner, x_cut ends the n = O(sqrt(N)) layers,
-    sigma_time_cut (in units of N^(3/4)) splits the sigma from the tau time
-    scale, and w1/w2 set the half-widths of the T1/T2 bands in xi, in units
-    of N^(-1/2) and N^(-1/4).
-    """
-
-    n_corner: int = 8
-    t_corner: float = 8.0
-    x_cut: float = 4.0
-    sigma_time_cut: float = 4.0
-    w1: float = 1.0
-    w2: float = 1.0
+# Thresholds steering which approximation a point (n, t) is sent to.  They
+# are artifact constants, not model quantities: _N_CORNER and _T_CORNER bound
+# the O(1) corner, _X_CUT ends the n = O(sqrt(N)) layers, _SIGMA_TIME_CUT (in
+# units of N^(3/4)) splits the sigma from the tau time scale, and _T1_WIDTH /
+# _T2_WIDTH are the half-widths of the T1/T2 bands in xi, in units of
+# N^(-1/2) and N^(-1/4).
+_N_CORNER = 8
+_T_CORNER = 8.0
+_X_CUT = 4.0
+_SIGMA_TIME_CUT = 4.0
+_T1_WIDTH = 1.0
+_T2_WIDTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -225,12 +222,7 @@ class RegimeLabel:
             raise ValueError(f"unknown regime kind {self.kind!r}")
 
 
-def classify(
-    n: int,
-    t: float,
-    params: ModelParams,
-    bands: ClassifierBands | None = None,
-) -> RegimeLabel:
+def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     """Assign (n, t) to the regime whose expansion should be used.
 
     Precedence: corner, then the small-n boundary layers, then the T1/T2
@@ -238,8 +230,6 @@ def classify(
     """
     rho = params.rho
     _require_subcritical(rho)
-    if bands is None:
-        bands = ClassifierBands()
     big_n = params.population
     if not 0 <= n <= big_n - 1:
         raise ValueError(f"n must be in [0, {big_n - 1}], got {n}")
@@ -251,25 +241,25 @@ def classify(
     x = n / sqrt_n
     sigma = t / big_n**0.75
 
-    if n <= bands.n_corner and t <= bands.t_corner:
+    if n <= _N_CORNER and t <= _T_CORNER:
         return RegimeLabel("CornerO1", xi, tau, x, sigma)
-    if n <= bands.x_cut * sqrt_n:
-        if t <= bands.sigma_time_cut * big_n**0.75:
-            if n <= bands.n_corner:
+    if n <= _X_CUT * sqrt_n:
+        if t <= _SIGMA_TIME_CUT * big_n**0.75:
+            if n <= _N_CORNER:
                 return RegimeLabel("BL_nsigma", xi, tau, x, sigma)
             return RegimeLabel(
                 "BL_xsigma", xi, tau, x, sigma, sub=_xsigma_region(x, sigma, rho)
             )
-        if n <= bands.n_corner:
+        if n <= _N_CORNER:
             return RegimeLabel("BL_ntau", xi, tau, x, sigma)
         return RegimeLabel("BL_xtau", xi, tau, x, sigma)
 
     curves = critical_curves(rho)
     xi_zero = curves.xi0(tau)
     xi_st = curves.xi_star(tau)
-    if abs(xi - xi_zero) <= bands.w1 / sqrt_n:
+    if abs(xi - xi_zero) <= _T1_WIDTH / sqrt_n:
         return RegimeLabel("T1", xi, tau, x, sigma)
-    if abs(xi - xi_st) <= bands.w2 / big_n**0.25:
+    if abs(xi - xi_st) <= _T2_WIDTH / big_n**0.25:
         return RegimeLabel("T2", xi, tau, x, sigma)
     if xi > xi_zero:
         return RegimeLabel("R1", xi, tau, x, sigma)
@@ -580,48 +570,67 @@ class T2State:
     g: float
 
 
-def _t2_gap_lhs(a_val: float, c: float, rel_tol: float, max_depth: int = 12) -> float:
-    # integrand is w^2/sqrt(Q) - 1/sqrt(c) with Q = (c w^2 + a) w^2 + 1,
-    # written subtraction-free, else the far tail nodes cancel to noise;
-    # split at the sign change w0 and the Q minimum so every quadrature
-    # piece is sign-definite (the level gate is relative) and any spike
-    # sits at a piece endpoint
+def _t2_integrals(a_val: float, c: float) -> tuple[float, float, float]:
+    """Gap, decay and prefactor integrals of the T2 layer at coefficient a.
+
+    With Q(w) = (c w^2 + a) w^2 + 1 and s = 1/w^2, each is the complete
+    elliptic integral F0(a, c) = int_0^inf s^(-1/2) (s^2 + a s + c)^(-1/2) ds
+    = pi / AGM(x0, y0), x0 = sqrt((a + 2 sqrt(c)) / 4), y0 = c^(1/4), or part
+    of its gradient:
+
+        gap   = int_0^inf 2 (w^2 / sqrt(Q) - 1 / sqrt(c)) dw = 4 F0_a + 2 a F0_c
+        decay = int_0^inf (4/3) Q^(-1/2) dw                 = (2/3) F0
+        pref  = int_0^inf 2 w^4 Q^(-3/2) dw                  = -2 F0_c
+
+    for every a > -2 sqrt(c), whether the roots of Q are real or complex.
+    The AGM M carries its derivatives M_x, M_y in x0 and y0 forward; every
+    term is positive, so nothing cancels.  The gap is taken as
+    -pi/M^2 (x0 M_x / sqrt(c) + a M_y / (2 c^(3/4))), in which the 1/x0 poles
+    of 4 F0_a and 2 a F0_c have already cancelled.  At or below the floor
+    a = -2 sqrt(c) all three are their limit, +inf.
+    """
     rt_c = math.sqrt(c)
-
-    def h(w: np.ndarray) -> np.ndarray:
-        out = np.empty_like(w)
-        near = w <= 1.0
-        v = w[near]
-        q = (c * v * v + a_val) * v * v + 1.0
-        rq = np.sqrt(q)
-        out[near] = -2.0 * (a_val * v * v + 1.0) / (rt_c * rq * (v * v * rt_c + rq))
-        u = elementwise(operator.pow, 1.0 / w[~near], 2)
-        s = np.sqrt(c + a_val * u + u * u)
-        out[~near] = -2.0 * (a_val + u) * u / (rt_c * s * (rt_c + s))
-        return out
-
-    if a_val >= 0.0:
-        return quad_to_infinity(h, 0.0, rel_tol, max_depth, vectorized=True)
-    k_min = math.sqrt(-a_val / (2.0 * c))
-    w0 = (-a_val) ** -0.5
-    if w0 >= 100.0 * k_min:
-        # the positive tail past w0 is negligible, no balanced cancellation
-        return tanh_sinh(
-            h, 0.0, k_min, rel_tol, max_depth, vectorized=True
-        ) + quad_to_infinity(h, k_min, rel_tol, max_depth, vectorized=True)
-    lo, hi = (k_min, w0) if k_min <= w0 else (w0, k_min)
-    total = tanh_sinh(h, 0.0, lo, rel_tol, max_depth, vectorized=True)
-    if hi > lo * (1.0 + 1e-14):
-        total += tanh_sinh(h, lo, hi, rel_tol, max_depth, vectorized=True)
-    return total + quad_to_infinity(h, hi, rel_tol, max_depth, vectorized=True)
+    x0_sq = (a_val + 2.0 * rt_c) / 4.0
+    if not x0_sq > 0.0:
+        return math.inf, math.inf, math.inf
+    x0 = math.sqrt(x0_sq)
+    x, y = x0, c**0.25
+    x_x, x_y, y_x, y_y = 1.0, 0.0, 0.0, 1.0  # d(x, y) / d(x0, y0)
+    converged = False
+    for _ in range(64):
+        g = math.sqrt(x * y)
+        x, y, x_x, x_y, y_x, y_y = (
+            0.5 * (x + y),
+            g,
+            0.5 * (x_x + y_x),
+            0.5 * (x_y + y_y),
+            (y * x_x + x * y_x) / (2.0 * g),
+            (y * x_y + x * y_y) / (2.0 * g),
+        )
+        # one step past value convergence settles the derivatives too
+        if converged:
+            break
+        converged = abs(x - y) <= 1e-13 * x
+    m = 0.5 * (x + y)
+    m_x = 0.5 * (x_x + y_x)
+    m_y = 0.5 * (x_y + y_y)
+    scale = math.pi / (m * m)
+    c34 = c**0.75
+    gap = -scale * (x0 * m_x / rt_c + a_val * m_y / (2.0 * c34))
+    pref = scale * (m_x / (4.0 * x0 * rt_c) + m_y / (2.0 * c34))
+    return gap, 2.0 * math.pi / (3.0 * m), pref
 
 
 def t2_solve_A(delta: float, rho: float) -> float:
     """Coefficient a(Delta) of the T2 layer equation, by bracketed root find.
 
-    The left side decreases from +inf (as a drops to -2 sqrt(1-sqrt(rho)))
-    to -inf, so a bracket always exists; seeds come from the known deep
-    asymptotics on both sides.  Reliable for |Delta| up to about 10.
+    The left side, the closed-form gap of `_t2_integrals` (no quadrature),
+    decreases from +inf (as a drops to -2 sqrt(1-sqrt(rho))) to -inf, so a
+    bracket always exists; seeds come from the known deep asymptotics on
+    both sides.  The reach in Delta is set by the root solve's residual
+    check: at large Delta the root sits so close to the floor that no double
+    meets it, and BracketFailure is raised from Delta of about 18.5 at
+    rho = 0.25 and 24.5 at rho = 0.75.
     """
     _require_subcritical(rho)
     if not math.isfinite(delta):
@@ -632,12 +641,7 @@ def t2_solve_A(delta: float, rho: float) -> float:
     target = 2.0 * sr * delta
 
     def gap(a_val: float) -> float:
-        try:
-            return _t2_gap_lhs(a_val, c, _EQ_QUAD_TOL) - target
-        except MaxDepthExceeded:
-            # only happens hard against the floor, where the true value
-            # diverges to +inf
-            return math.inf
+        return _t2_integrals(a_val, c)[0] - target
 
     # lower end: approach the floor until the left side exceeds the target
     seed = 64.0 * math.sqrt(c) * math.exp(-4.0 - 2.0 * sr * c**0.75 * max(delta, 0.0))
@@ -650,11 +654,8 @@ def t2_solve_A(delta: float, rho: float) -> float:
         shrink += 1
     if g_lo <= 0.0:
         raise BracketFailure(f"no positive bracket end near the floor for Delta={delta}")
-    while not math.isfinite(g_lo):
-        lo = floor + (lo - floor) * 4.0
-        g_lo = gap(lo)
-        if g_lo <= 0.0:
-            raise BracketFailure(f"quadrature failed before bracketing Delta={delta}")
+    if math.isinf(g_lo):
+        raise BracketFailure(f"the root is within rounding of the floor for Delta={delta}")
     hi = max(1.0, rho * c * c * delta * delta + 4.0)
     for _ in range(60):
         if gap(hi) < 0.0:
@@ -670,8 +671,11 @@ def t2_evaluate(
 ) -> tuple[T2State, LogDensityApprox]:
     """T2 layer density at spatial xi and stretched time Delta.
 
-    Recommended range |Delta| <= 8; beyond that the implicit solve becomes
-    ill-conditioned and the neighbouring R2/R3 forms are better anyway.
+    No quadrature: a comes from `t2_solve_A` and the decay and prefactor
+    integrals are the closed forms of `_t2_integrals`.  The reach in Delta
+    is set by that root solve's residual check (BracketFailure from Delta of
+    about 18.5 at rho = 0.25 and 24.5 at rho = 0.75), not by the integrals.
+    Beyond |Delta| of about 8 the neighbouring R2/R3 forms are better anyway.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -680,27 +684,8 @@ def t2_evaluate(
     sr = math.sqrt(rho)
     c = 1.0 - sr
     a_val = t2_solve_A(delta, rho)
-
-    def over_halfline(h) -> float:
-        # For a_val < 0 the quartic under the root dips near w = sqrt(-A/2c)
-        # and the integrand spikes; a knot there keeps tanh-sinh honest.
-        if a_val >= 0.0:
-            return quad_to_infinity(h, 0.0, _EVAL_QUAD_TOL, vectorized=True)
-        w_min = math.sqrt(-a_val / (2.0 * c))
-        return tanh_sinh(
-            h, 0.0, w_min, _EVAL_QUAD_TOL, vectorized=True
-        ) + quad_to_infinity(h, w_min, _EVAL_QUAD_TOL, vectorized=True)
-
-    def decay_kernel(w: np.ndarray) -> np.ndarray:
-        return 4.0 / 3.0 / np.sqrt((c * w * w + a_val) * w * w + 1.0)
-
-    f_val = sr * a_val * delta / 3.0 - over_halfline(decay_kernel)
-
-    def pref_kernel(w: np.ndarray) -> np.ndarray:
-        q = (c * w * w + a_val) * w * w + 1.0
-        return 2.0 * elementwise(operator.pow, w, 4) / elementwise(operator.pow, q, 1.5)
-
-    i3 = over_halfline(pref_kernel)
+    _, decay, i3 = _t2_integrals(a_val, c)
+    f_val = sr * a_val * delta / 3.0 - decay
     g0 = math.sqrt(2.0) * c**-1.25 * math.exp((1.0 + sr) / (2.0 * c)) * i3**-0.5
     small_r = math.sqrt(rho * xi * xi + 4.0 * xi * c)
     g_val = (

@@ -140,6 +140,9 @@ def test_small_n_rates_guard() -> None:
         small_n_rates(ModelParams(4, 1.0))
     with pytest.raises(UnsupportedN):
         closed_form_small_N(ModelParams(5, 1.0), 0, 1.0)
+    for population in (2, 3):
+        with pytest.raises(InvalidInput):
+            closed_form_small_N(ModelParams(population, 1.0), population, 1.0)
 
 
 def test_closed_form_matches_spectral_N2() -> None:
@@ -231,8 +234,9 @@ def test_ode_step_guard() -> None:
         integrate_ode(gen, 10.0, step=1.0)
     with pytest.raises(StepTooLarge):
         integrate_ode(gen, 100.0, steps=3)
-    with pytest.raises(ValueError):
-        integrate_ode(gen, -1.0)
+    for t_max in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            integrate_ode(gen, t_max)
 
 
 def test_trajectory_shapes_and_method_tags() -> None:
@@ -399,5 +403,5 @@ def test_oracle_unit_mass() -> None:
 def test_oracle_guards() -> None:
     with pytest.raises(UnsupportedN):
         oracle_decompose(ModelParams(65, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         oracle_decompose(ModelParams(8, 0.5), digits=10)

@@ -172,9 +172,9 @@ def test_invert_step_halving() -> None:
 
 
 def test_invert_guards() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         invert_density(2, 0.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         invert_density(2, 1.0, 0.5, step_scale=3)
 
 
@@ -326,9 +326,13 @@ def test_tail_supercritical_against_inversion() -> None:
 
 
 def test_tail_guards() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         tail_asym_infinite(2, 5.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
+        tail_asym_infinite(2, 20.0, math.nan)
+    with pytest.raises(InvalidInput):
+        tail_asym_infinite(2, 20.0, 0.0)
+    with pytest.raises(InvalidInput):
         tail_truncation_time(0, 0.5, 2.0)
 
 
