@@ -36,7 +36,10 @@ class InvalidInput(PSQError, ValueError):
     finite, a time that is not positive and finite (at least 10 for the tail
     formula), a transform argument that is not finite with a positive real
     part, an inversion step_scale other than 1 or 2, or a tail mass bound
-    outside (0, 1)."""
+    outside (0, 1); for the rho < 1 asymptotics a state index outside
+    0..N-1, a negative time, a scaled coordinate (xi, tau, x, sigma, the
+    scale of a log density) outside the formula's sign range, a Delta that
+    is not finite, a negative mode index, or an unknown regime kind."""
 
 
 # -- special functions / numerics --------------------------------------------

@@ -24,6 +24,12 @@ same terms in the same order either way, so where f raises at no node the
 keyword changes no result, only how many times f is called (for tanh_sinh,
 once for levels 0-5 and once per deeper level, against once per node).
 
+Each level's sum is a running total from its first term in node order, the
+same whichever levels were evaluated together.  The terms of one call of f
+are placed in a zero-padded grid, a row per level, and one cumsum along the
+rows gives every level's sum; a node dropped at an endpoint and the padding
+add +0.0, which changes no sum.
+
 An array f runs with numpy's invalid and divide errors raised, so a square
 root of a negative number or a division by zero raises FloatingPointError
 where the scalar form raises ValueError or ZeroDivisionError, rather than
@@ -37,6 +43,16 @@ k integrands that share the nodes, such as one per transform argument; the
 kernel then returns the k integrals as an array, each column added up in
 node order, and refines until every column meets the tolerance.  Such an f
 has no scalar form to match, so it may use numpy's pow, exp and log.
+
+Root solves
+-----------
+find_root_bracketed evaluates its function once per distinct argument,
+through a memo that lives for one solve.  A solver that searches for the
+bracket itself (the boundary-layer and T2 equations in `subcritical`) puts
+its function behind functools.cache before the search, and the root finder
+reads that same memo: the bracket ends, Brent's first calls there and the
+residual check at the root cost no second quadrature.  No memo outlives its
+solve, so repeating a solve repeats its work.
 """
 
 from __future__ import annotations
@@ -247,7 +263,17 @@ def find_root_bracketed(
     hi: float,
     tol: float = 1e-12,
 ) -> float:
-    """Brent's method on [lo, hi]; requires a sign change and |f(root)| <= tol."""
+    """Brent's method on [lo, hi]; requires a sign change and |f(root)| <= tol.
+
+    f is evaluated once per distinct argument.  The sign check at the ends,
+    Brent's own first calls there and the residual check at the root (a
+    point Brent has evaluated) all read one memo that lives for this solve.
+    A caller whose bracket search evaluates f first passes it behind
+    functools.cache, and that memo is used instead of a new one, so the
+    ends the search found are not evaluated again either.
+    """
+    if not hasattr(f, "cache_info"):
+        f = functools.cache(f)
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -257,9 +283,10 @@ def find_root_bracketed(
     if flo * fhi > 0.0:
         raise NoSignChange(f"f({lo}) = {flo} and f({hi}) = {fhi} have equal sign")
     root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    if abs(f(root)) > tol:
+    residual = abs(f(root))
+    if residual > tol:
         raise BracketFailure(
-            f"root at {root} leaves |f| = {abs(f(root)):.3e} > tol = {tol:.3e}"
+            f"root at {root} leaves |f| = {residual:.3e} > tol = {tol:.3e}"
         )
     return float(root)
 
@@ -271,9 +298,10 @@ def find_root_bracketed(
 # tanh(pi/2 sinh 4) is within 1e-37 of 1: no level has a node past t = 4
 _T_MAX = 4.0
 # an array integrand gets levels 0-5 (257 nodes) in its first call, then one
-# call per deeper level; a scalar one gets one level at a time.  On an
-# asym_surface pass 89% of the calls stop at level 5 or below (51% below
-# it), and one call per level made the pass 2.5 times slower
+# call per deeper level; a scalar one gets one level at a time.  Of the
+# 10 877 calls in a seed-1 asym_surface pass, 93% stop at level 5 or below
+# (61% below it) and 2% give up at max_depth; one call per level made the
+# pass 2.5 times slower
 _FIRST_BATCH_LAST_LEVEL = 5
 
 
@@ -307,11 +335,16 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _NodeBatch:
     """Levels first..last of the rule laid out as one node array: the
-    midpoint when level 0 is in, then each pair's upper and lower node."""
+    midpoint when level 0 is in, then each pair's upper and lower node.
+
+    slot places each node in a zero-padded (levels x width) grid, row by
+    level and in node order along the row, so one cumsum along the rows
+    adds up every level of the batch at once."""
 
     denom: np.ndarray  # per pair
     weight: np.ndarray  # per node
-    ends: np.ndarray  # per level, one past its last node
+    slot: np.ndarray  # per node, flat index into the grid
+    shape: tuple[int, int]  # (levels, width) of the grid
 
 
 @functools.cache
@@ -320,12 +353,16 @@ def _node_batch(first: int, last: int) -> _NodeBatch:
     weight = [np.repeat(w, 2) for _, w in tables]
     if first == 0:
         weight[0] = np.concatenate(([1.0 * _PI_OVER_2], weight[0]))
+    width = max(w.size for w in weight)
     batch = _NodeBatch(
         denom=np.concatenate([d for d, _ in tables]),
         weight=np.concatenate(weight),
-        ends=np.cumsum([w.size for w in weight]),
+        slot=np.concatenate(
+            [row * width + np.arange(w.size) for row, w in enumerate(weight)]
+        ),
+        shape=(len(weight), width),
     )
-    for table in (batch.denom, batch.weight, batch.ends):
+    for table in (batch.denom, batch.weight, batch.slot):
         table.flags.writeable = False
     return batch
 
@@ -390,21 +427,24 @@ def tanh_sinh(
         else:
             values = np.array([f(v) for v in nodes.tolist()])
         weight = batch.weight[keep]
-        ends = np.cumsum(keep)[batch.ends - 1].tolist()
-        levels = zip([0] + ends[:-1], ends)
-        # a running total from 0.0 through each level's terms in node order:
-        # cumsum adds in that sequence, where np.sum would pair terms up and
-        # move the last bits
         if values.ndim == 2:  # one column per integral
-            terms = weight[:, None] * values
-            return [
-                terms[lo:hi].cumsum(axis=0)[-1] if hi > lo else 0.0 for lo, hi in levels
-            ]
-        terms = weight * values
-        return [
-            0.0 + terms[lo:hi].cumsum()[-1].item() if hi > lo else 0.0
-            for lo, hi in levels
-        ]
+            weight = weight[:, None]
+        # each level's running total through its terms in node order, one
+        # grid row per level: cumsum adds in that sequence, where np.sum
+        # would pair terms up and move the last bits.  A dropped node's slot
+        # and the padding hold +0.0, which leaves every sum as it was
+        grid = np.zeros(
+            (batch.shape[0] * batch.shape[1],) + values.shape[1:],
+            dtype=np.result_type(weight, values),
+        )
+        grid[batch.slot[keep]] = weight * values
+        rows = grid.reshape(batch.shape + values.shape[1:])
+        # in place: a second grid-sized array costs an (m, k) integrand more
+        # than the adds themselves
+        sums = rows.cumsum(axis=1, out=rows)[:, -1]
+        if values.ndim == 2:
+            return list(sums)
+        return (0.0 + sums).tolist()  # a level of -0.0 terms sums to +0.0
 
     def all_level_sums():
         batched = []

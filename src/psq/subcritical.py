@@ -14,6 +14,7 @@ enough tau.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .errors import (
     BracketFailure,
     CurveSingularity,
     IndexTooLarge,
+    InvalidInput,
     MaxDepthExceeded,
     NoSignChange,
     NotSubcritical,
@@ -98,7 +100,7 @@ class LogDensityApprox:
     def log_value(self, scale: float) -> float:
         """Log of the represented density at the given scale parameter."""
         if scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {scale}")
+            raise InvalidInput(f"scale must be positive, got {scale}")
         return (
             scale * self.coeff_N
             + scale**0.75 * self.coeff_N34
@@ -143,24 +145,24 @@ class CriticalCurves:
 
     def tau0(self, xi: float) -> float:
         if xi < 0.0:
-            raise ValueError(f"xi must be nonnegative, got {xi}")
+            raise InvalidInput(f"xi must be nonnegative, got {xi}")
         return math.log1p(self.rho * xi / (1.0 - self.rho)) / self.rho
 
     def tau_star(self, xi: float) -> float:
         if xi < 0.0:
-            raise ValueError(f"xi must be nonnegative, got {xi}")
+            raise InvalidInput(f"xi must be nonnegative, got {xi}")
         c = 1.0 - math.sqrt(self.rho)
         lift = (self.rho * xi + _big_r(xi, self.rho)) / (2.0 * c)
         return math.log1p(lift) / self.rho
 
     def xi0(self, tau: float) -> float:
         if tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {tau}")
+            raise InvalidInput(f"tau must be nonnegative, got {tau}")
         return (1.0 - self.rho) / self.rho * math.expm1(self.rho * tau)
 
     def xi_star(self, tau: float) -> float:
         if tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {tau}")
+            raise InvalidInput(f"tau must be nonnegative, got {tau}")
         c = 1.0 - math.sqrt(self.rho)
         s = math.sinh(0.5 * self.rho * tau)
         return 4.0 * c / self.rho * s * s
@@ -219,7 +221,7 @@ class RegimeLabel:
 
     def __post_init__(self) -> None:
         if self.kind not in REGIME_KINDS:
-            raise ValueError(f"unknown regime kind {self.kind!r}")
+            raise InvalidInput(f"unknown regime kind {self.kind!r}")
 
 
 def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
@@ -232,9 +234,9 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     _require_subcritical(rho)
     big_n = params.population
     if not 0 <= n <= big_n - 1:
-        raise ValueError(f"n must be in [0, {big_n - 1}], got {n}")
+        raise InvalidInput(f"n must be in [0, {big_n - 1}], got {n}")
     if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+        raise InvalidInput(f"t must be nonnegative, got {t}")
     sqrt_n = math.sqrt(big_n)
     xi = n / big_n
     tau = t / big_n
@@ -282,7 +284,7 @@ def d1d2_curve_sigma(x: float, rho: float) -> float:
     """
     _require_subcritical(rho)
     if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise InvalidInput(f"x must be positive, got {x}")
     c = 1.0 - math.sqrt(rho)
     q = c**0.25
     rx = math.sqrt(x)
@@ -303,7 +305,7 @@ def d2d3_curve_sigma(x: float, rho: float) -> float:
     _require_subcritical(rho)
     c = 1.0 - math.sqrt(rho)
     if not 0.0 < x < c**-0.5:
-        raise ValueError(f"x must be in (0, {c ** -0.5:.6f}), got {x}")
+        raise InvalidInput(f"x must be in (0, {c ** -0.5:.6f}), got {x}")
     k = math.sqrt(c) * x
     pair = elliptic_KE(k)
     return (pair.K - pair.E) / (math.sqrt(rho) * c * math.sqrt(x))
@@ -447,7 +449,7 @@ def r3_big_f(xi: float, rho: float) -> float:
     """Tau-free exponent F(xi); F(0) = 0 and F < 0 for xi > 0."""
     _require_subcritical(rho)
     if xi < 0.0:
-        raise ValueError(f"xi must be nonnegative, got {xi}")
+        raise InvalidInput(f"xi must be nonnegative, got {xi}")
     if xi == 0.0:
         return 0.0
     return _psi_value(xi, 0.0, rho) + 0.5 * xi * math.log(rho)
@@ -457,7 +459,7 @@ def r3_j_factor(xi: float, rho: float) -> float:
     """Spatial constant J(xi) shared by R3, T2, and the matching form."""
     _require_subcritical(rho)
     if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+        raise InvalidInput(f"xi must be positive, got {xi}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     rr = _big_r(xi, rho)
@@ -634,12 +636,13 @@ def t2_solve_A(delta: float, rho: float) -> float:
     """
     _require_subcritical(rho)
     if not math.isfinite(delta):
-        raise ValueError(f"Delta must be finite, got {delta}")
+        raise InvalidInput(f"Delta must be finite, got {delta}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     floor = -2.0 * math.sqrt(c)
     target = 2.0 * sr * delta
 
+    @functools.cache  # one memo for the bracket search and the root solve
     def gap(a_val: float) -> float:
         return _t2_integrals(a_val, c)[0] - target
 
@@ -680,7 +683,7 @@ def t2_evaluate(
     rho = params.rho
     _require_subcritical(rho)
     if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+        raise InvalidInput(f"xi must be positive, got {xi}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     a_val = t2_solve_A(delta, rho)
@@ -809,6 +812,7 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
     vstar = c**-0.5
     floor = -2.0 * math.sqrt(c) if x >= vstar else -(c * x + 1.0 / x)
 
+    @functools.cache  # one memo for the bracket search and the root solve
     def g(b1: float) -> float:
         try:
             return _bl_sigma_lhs(x, b1, c) - target
@@ -850,6 +854,7 @@ def _solve_alpha_d3(x: float, sigma: float, rho: float, c: float) -> float:
     target = 2.0 * math.sqrt(rho) * sigma
     vstar = c**-0.5
 
+    @functools.cache  # one memo for the bracket search and the root solve
     def g(alpha: float) -> float:
         try:
             return _bl_sigma_lhs_d3(x, alpha, c) - target
@@ -897,9 +902,9 @@ def bl_xsigma_evaluate(
     rho = params.rho
     _require_subcritical(rho)
     if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise InvalidInput(f"x must be positive, got {x}")
     if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+        raise InvalidInput(f"sigma must be positive, got {sigma}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     vstar = c**-0.5
@@ -994,9 +999,9 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
     rho = params.rho
     _require_subcritical(rho)
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise InvalidInput(f"n must be nonnegative, got {n}")
     if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+        raise InvalidInput(f"sigma must be positive, got {sigma}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     vstar = c**-0.5
@@ -1049,9 +1054,9 @@ def bl_xtau_evaluate(x: float, tau: float, params: ModelParams) -> LogDensityApp
     rho = params.rho
     _require_subcritical(rho)
     if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise InvalidInput(f"x must be positive, got {x}")
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise InvalidInput(f"tau must be positive, got {tau}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     q4 = c**0.25
@@ -1084,9 +1089,9 @@ def bl_ntau_evaluate(n: int, tau: float, params: ModelParams) -> LogDensityAppro
     rho = params.rho
     _require_subcritical(rho)
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise InvalidInput(f"n must be nonnegative, got {n}")
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise InvalidInput(f"tau must be positive, got {tau}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     coeff_o1 = (
@@ -1121,7 +1126,7 @@ def t2r3_dominance_time(xi: float, params: ModelParams) -> float:
     rho = params.rho
     _require_subcritical(rho)
     if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+        raise InvalidInput(f"xi must be positive, got {xi}")
     big_n = params.population
     c = 1.0 - math.sqrt(rho)
     shift = big_n**0.75 * math.log(big_n) / (8.0 * math.sqrt(rho) * c**0.75)
@@ -1140,7 +1145,7 @@ def matching_t2r3(
     rho = params.rho
     _require_subcritical(rho)
     if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+        raise InvalidInput(f"xi must be positive, got {xi}")
     big_n = params.population
     sr = math.sqrt(rho)
     c = 1.0 - sr
@@ -1188,7 +1193,7 @@ _EIGVEC_X_MAX = 4.0
 
 def _check_mode_index(j: int, population: int) -> None:
     if j < 0:
-        raise ValueError(f"mode index must be nonnegative, got {j}")
+        raise InvalidInput(f"mode index must be nonnegative, got {j}")
     if j > population**0.25 / 4.0:
         raise IndexTooLarge(
             f"mode index {j} exceeds N^(1/4)/4 = {population ** 0.25 / 4.0:.3f}"
@@ -1244,9 +1249,9 @@ def eigvec_shape_g(j: int, x: float, rho: float) -> float:
     """
     _require_subcritical(rho)
     if j < 0:
-        raise ValueError(f"mode index must be nonnegative, got {j}")
+        raise InvalidInput(f"mode index must be nonnegative, got {j}")
     if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise InvalidInput(f"x must be positive, got {x}")
     c = 1.0 - math.sqrt(rho)
     q4 = c**0.25
     rx = math.sqrt(x)
@@ -1271,7 +1276,7 @@ def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> float:
     big_n = params.population
     _check_mode_index(j, big_n)
     if not 0 <= n <= big_n - 1:
-        raise ValueError(f"n must be in [0, {big_n - 1}], got {n}")
+        raise InvalidInput(f"n must be in [0, {big_n - 1}], got {n}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     ln_rho = math.log(rho)

@@ -343,6 +343,38 @@ KERNEL_CASES = {
 }
 
 
+def _node_by_node_tanh_sinh(f, a, b, rel_tol=1e-12, max_depth=12):
+    """The kernel's rule one node at a time, the reference for its level
+    sums: each level's terms added to 0.0 in node order (the midpoint, then
+    each pair's upper and lower node), skipping nodes that round onto an
+    endpoint.  f returns a float, a complex or a length-k array."""
+    if a > b:
+        return -_node_by_node_tanh_sinh(f, b, a, rel_tol, max_depth)
+    m, c = 0.5 * (a + b), 0.5 * (b - a)
+
+    def level_sum(level):
+        denom, weight = specfun._level_table(level)
+        total = 0.0
+        if level == 0:
+            total = total + 1.0 * (0.5 * math.pi) * f(m)
+        for d, w in zip(denom.tolist(), weight.tolist()):
+            delta = c * 2.0 / d
+            for x in (b - delta, a + delta):
+                if a < x < b:
+                    total = total + w * f(x)
+        return total
+
+    total = level_sum(0)
+    prev = c * total
+    for level in range(1, max_depth + 1):
+        total = 0.5 * total + level_sum(level)
+        cur = c * total
+        if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)):
+            return cur
+        prev = cur
+    raise MaxDepthExceeded("reference did not converge")
+
+
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_tanh_sinh_array_path_same_bits(case: str) -> None:
     scalar_f, array_f, a, b = KERNEL_CASES[case]
@@ -350,6 +382,16 @@ def test_tanh_sinh_array_path_same_bits(case: str) -> None:
     got = tanh_sinh(array_f, a, b, vectorized=True)
     assert type(got) is type(want)
     assert got == want
+    assert want == _node_by_node_tanh_sinh(scalar_f, a, b)
+
+
+def test_column_level_sums_match_node_by_node_reference() -> None:
+    def f(v):
+        return np.stack([1.0 / np.sqrt(v), np.exp(1j * v)], axis=1)
+
+    want = _node_by_node_tanh_sinh(lambda x: f(np.array([x]))[0], 0.0, 1.0)
+    got = tanh_sinh(f, 0.0, 1.0, vectorized=True)
+    assert (got == want).all()
 
 
 def test_quad_to_infinity_array_path_same_bits() -> None:
