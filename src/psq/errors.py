@@ -39,7 +39,12 @@ class InvalidInput(PSQError, ValueError):
     outside (0, 1); for the rho < 1 asymptotics a state index outside
     0..N-1, a negative time, a scaled coordinate (xi, tau, x, sigma, the
     scale of a log density) outside the formula's sign range, a Delta that
-    is not finite, a negative mode index, or an unknown regime kind."""
+    is not finite, a negative mode index, or an unknown regime kind; for the
+    rho > 1 asymptotics an xi outside (0, 1], a tau out of its sign range, a
+    negative mode index, or a state index outside 0..N-1; for the special
+    functions a Hermite index outside [0, 200], a loop-series index outside
+    [0, 500], a negative harmonic index, or a rho outside (0, 1) for the
+    transition-layer integral."""
 
 
 # -- special functions / numerics --------------------------------------------

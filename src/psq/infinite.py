@@ -10,23 +10,27 @@ solutions of the three-term recurrence
 
     rho u_{n+1} - (1 + rho + theta) u_n + (n/(n+1)) u_{n-1} = -1/(n+1).
 
-The loop solution around the branch cut [z_-, z_+] is specfun.cut_integral
-times the phase e^{pi i alpha_1} / (1 - e^{2 pi i alpha_1}) applied here at
-the call site; it satisfies the n = 0 boundary row.  The decaying solution is
-the segment integral over [0, z_-], which picks up exactly the inhomogeneous
-boundary term.  The printed loop-integral form alone solves the homogeneous
-recurrence (integrate the defining ODE for the kernel by parts), so both
-solutions are needed; the finished resolvent is verified against a truncated
-tridiagonal solve in the tests.
+The loop solution V around the branch cut [z_-, z_+] satisfies the n = 0
+boundary row.  It carries the phase e^{pi i alpha_1} / (1 - e^{2 pi i alpha_1})
+of the printed form, but only the ratios V_m / V_0 enter the transform, so
+the phase cancels and is never formed; specfun.cut_integral generates the
+ratios for m = 0..n by the loop integrals' own three-term recurrence in m.
+The decaying solution is the segment integral over [0, z_-], which picks up
+exactly the inhomogeneous boundary term.  The printed loop-integral form
+alone solves the homogeneous recurrence (integrate the defining ODE for the
+kernel by parts), so both solutions are needed; the finished resolvent is
+verified against a truncated tridiagonal solve in the tests.
 
 There is one transform path: transform_phat takes one theta or an array of
-them and integrates the decaying-solution pair for all of them in a single
-specfun.tanh_sinh call, and invert_density makes one transform_phat call for
+them, integrates the decaying-solution pair for all of them in a single
+specfun.tanh_sinh call and runs the loop recurrence for all of them in a
+single cut_integral call; invert_density makes one transform_phat call for
 the head term and the whole Bromwich ladder.
 
-Accuracy note: the assembly balances factors z_-^(n+alpha) against
-z_-^(-n), so double precision holds up to roughly n ~ 30 for |theta| ~ 1e5;
-the package only needs single-digit n here.
+Accuracy note: the assembly multiplies z_-^n into loop ratios that grow like
+z_+^m, so double precision holds while |z_+|^n stays in range: up to n ~ 50
+for |theta| ~ 1e5 (at n = 60 it overflows to nan); the package only needs
+n <= 16 here.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import LogDensityApprox
 from .errors import BranchCollision, InvalidInput, InversionUnstable
 from .specfun import cut_integral, loop_series_Q_log, tanh_sinh
-from .subcritical import LogDensityApprox
 from .supercritical import algebraic_tail_constant
 
 _BRANCH_TOL = 1e-10
@@ -118,34 +122,30 @@ class TransformPoint:
 # ---------------------------------------------------------------------------
 
 
-def _loop_phase(alpha: complex) -> complex:
-    denom = 1.0 - cmath.exp(2j * math.pi * alpha)
-    if denom == 0.0:
-        raise BranchCollision(
-            f"alpha_1 = {alpha} is an exact integer; loop representation degenerates"
-        )
-    return cmath.exp(1j * math.pi * alpha) / denom
-
-
 def transform_phat(n: int, theta, rho: float):
     """Laplace transform of the infinite-population conditional density.
 
-    Green-function assembly: with V_m the phase-carrying loop solution and
-    h_tilde / T the decaying-solution integrals,
+    Green-function assembly: with r_m = V_m / V_0 the loop-solution ratios
+    from specfun.cut_integral and base / tail the decaying-solution integrals
+    over [0, 1] below,
 
-        p_hat_n = z_+^a z_-^(1-a) [h_tilde_n sum_{m<=n} rho^m V_m + V_n T_n] / V_0.
+        p_hat_n = z_- [z_-^n base sum_{m<=n} rho^m r_m
+                       + r_n (rho z_-)^(n+1) tail].
 
-    The overall phase cancels between numerator and V_0, so real theta gives
-    a real transform.  theta is one complex or a 1-D array of them, and the
-    result is a complex or an array of the same length.
+    The printed form's phase and V_0 cancel in the ratios, and its branch
+    factors z_+^a z_-^(1-a) and z_-^a z_+^(-a) multiply to z_-, so none of
+    them is formed and real theta gives a real transform.  theta is
+    one complex or a 1-D array of them, and the result is a complex or an
+    array of the same length.
 
     Over [0, z_-], h_tilde_n = int z^n (z_+ - z)^(-a) (z_- - z)^(a-1) dz and
     T_n = int (rho z)^(n+1) (z_+ - z)^(-a) (z_- - z)^(a-1) / (1 - rho z) dz,
-    the tail sum of the source series.  Both reduce to [0, 1] after
-    z = z_- s; the principal branches never cross a cut there because
-    Im(1 - (z_-/z_+) s) has one sign along the segment.  One tanh-sinh call
-    integrates both for every theta, so the kernel
-    (1 - x s)^(-a) (1 - s)^(a-1) is formed once per node.
+    the tail sum of the source series.  After z = z_- s they are
+    z_-^a z_+^(-a) z_-^n base and z_-^a z_+^(-a) (rho z_-)^(n+1) tail, with
+    base and tail integrals over s in [0, 1]; the principal branches never
+    cross a cut there because Im(1 - (z_-/z_+) s) has one sign along the
+    segment.  One tanh-sinh call integrates both for every theta, so the
+    kernel (1 - x s)^(-a) (1 - s)^(a-1) is formed once per node.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise InvalidInput(f"n must be a nonnegative integer, got {n}")
@@ -156,8 +156,10 @@ def transform_phat(n: int, theta, rho: float):
         raise InvalidInput(f"theta must be a scalar or 1-D, got shape {thetas.shape}")
     pts = [TransformPoint.from_theta(th, rho) for th in thetas.ravel().tolist()]
     alphas = np.array([pt.alpha1 for pt in pts])
-    x = np.array([pt.z_minus / pt.z_plus for pt in pts])
-    y = np.array([rho * pt.z_minus for pt in pts])
+    z_minus = np.array([pt.z_minus for pt in pts])
+    z_plus = np.array([pt.z_plus for pt in pts])
+    x = z_minus / z_plus
+    y = rho * z_minus
 
     def integrand(s: np.ndarray) -> np.ndarray:
         col = s[:, None]
@@ -168,19 +170,9 @@ def transform_phat(n: int, theta, rho: float):
     base, tail = np.split(
         tanh_sinh(integrand, 0.0, 1.0, rel_tol=1e-12, vectorized=True), 2
     )
-    out = np.empty(len(pts), dtype=complex)
-    for i, pt in enumerate(pts):
-        a = pt.alpha1
-        phase = _loop_phase(a)
-        loop = [
-            phase * cut_integral(m, a, pt.z_minus, pt.z_plus) for m in range(n + 1)
-        ]
-        pref = pt.z_minus**a * pt.z_plus**-a
-        h_tilde = pref * pt.z_minus**n * base[i]
-        t_n = pref * (rho * pt.z_minus) ** (n + 1) * tail[i]
-        source = sum(rho**m * loop[m] for m in range(n + 1))
-        scale = pt.z_plus**a * pt.z_minus ** (1.0 - a)
-        out[i] = scale * (h_tilde * source + loop[n] * t_n) / loop[0]
+    ratios = cut_integral(n, alphas, z_minus, z_plus)
+    source = rho ** np.arange(n + 1) @ ratios
+    out = z_minus * (z_minus**n * base * source + ratios[n] * y ** (n + 1) * tail)
     return complex(out[0]) if thetas.ndim == 0 else out
 
 

@@ -5,7 +5,7 @@ Contents
 elliptic_KE            complete elliptic integrals K, E by the AGM
 hermite_He             probabilists' Hermite polynomials
 loop_series_Q          the loop integral (1/2pi i) oint z^(-n-1) (1-z)^(-1) e^(1/(1-z)) dz
-cut_integral           branch-cut loop integral by residue-at-infinity extraction
+cut_integral           branch-cut loop integrals of orders 0..n by their recurrence
 parabolic_cylinder_H   the transition-layer integral H(Delta_1)
 harmonic               harmonic numbers
 find_root_bracketed    Brent root finding on a sign-changing bracket
@@ -57,7 +57,6 @@ solve, so repeating a solve repeats its work.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -69,6 +68,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     BracketFailure,
+    InvalidInput,
     MaxDepthExceeded,
     ModulusOutOfRange,
     NoSignChange,
@@ -119,7 +119,7 @@ def elliptic_KE(k: float) -> EllipticPair:
 def hermite_He(j: int, z: float) -> float:
     """He_j(z) with He_0 = 1, He_1 = z, He_{j+1} = z He_j - j He_{j-1}."""
     if j < 0 or j > 200:
-        raise ValueError(f"Hermite index must be in [0, 200], got {j}")
+        raise InvalidInput(f"Hermite index must be in [0, 200], got {j}")
     if j == 0:
         return 1.0
     prev, cur = 1.0, z
@@ -141,7 +141,7 @@ def loop_series_Q(n: int) -> float:
     structure: n! Q(n) / e is an integer.
     """
     if n < 0 or n > 500:
-        raise ValueError(f"series index must be in [0, 500], got {n}")
+        raise InvalidInput(f"series index must be in [0, 500], got {n}")
     term = 1.0
     total = 1.0
     j = 0
@@ -156,7 +156,7 @@ def loop_series_Q(n: int) -> float:
 def loop_series_Q_log(n: int) -> float:
     """log Q(n), stable for indices where Q would lose range in doubles."""
     if n < 0 or n > 500:
-        raise ValueError(f"series index must be in [0, 500], got {n}")
+        raise InvalidInput(f"series index must be in [0, 500], got {n}")
     # log of term_j = lgamma(n+j+1) - lgamma(n+1) - 2 lgamma(j+1); running
     # max-shifted accumulation keeps the sum in range.
     log_terms = []
@@ -177,37 +177,37 @@ def loop_series_Q_log(n: int) -> float:
 # branch-cut loop integral
 # ---------------------------------------------------------------------------
 
-def cut_integral(n: int, a: complex, z_minus: complex, z_plus: complex) -> complex:
-    """oint z^n (z_plus - z)^(-a) (z - z_minus)^(a-1) dz around the cut.
+def cut_integral(n: int, a, z_minus, z_plus) -> np.ndarray:
+    """I_m / (2 pi i) for m = 0..n, where I_m is the loop integral
+    oint z^m (z_+ - z)^(-a) (z - z_-)^(a-1) dz.
 
-    The loop encircles the segment [z_minus, z_plus] counterclockwise and the
-    integrand is analytic exterior to the cut, so the value equals 2*pi*i
-    times the z^(-1) coefficient of the expansion at infinity.  The branch is
-    fixed by writing the two power factors as
-        z^(-a) (1 - z_plus/z)^(-a) * z^(a-1) (1 - z_minus/z)^(a-1)
-    with principal branches of (1 - w)^c; any residual phase prefactor from
-    the application is supplied by the caller.  The z^(-1) coefficient is the
-    finite convolution over i + k = n of the two binomial series, computed
-    with ratio-recursive coefficients.
+    The loop encircles the segment [z_-, z_+] counterclockwise, and the power
+    factors are z^(-a) (1 - z_+/z)^(-a) and z^(a-1) (1 - z_-/z)^(a-1) on the
+    principal branch of (1 - w)^c, so I_0 = 2 pi i.  Integrating the
+    derivative of z^m (z_+ - z)^(1-a) (z - z_-)^a around the loop gives the
+    recurrence
+
+        (m+1) I_{m+1} = [m (z_+ + z_-) + a z_+ + (1-a) z_-] I_m
+                        - m z_+ z_- I_{m-1},
+
+    from I_1 = 2 pi i (a z_+ + (1-a) z_-).  Where |z_+| > |z_-| the loop
+    integrals are its dominant solution, so the forward recursion is stable.
+    a, z_minus and z_plus broadcast together; the result has the order m on
+    its first axis and is real when they all are.  At coincident points it
+    is z_0^m.
     """
-    if z_minus == z_plus:
-        raise ValueError("branch points coincide")
-    # (1 - z_plus/z)^(-a) = sum_i  rising(a, i)/i!      * (z_plus/z)^i
-    # (1 - z_minus/z)^(a-1) = sum_k rising(1-a, k)/k!   * (z_minus/z)^k
-    up = [complex(1.0)]
-    vp = [complex(1.0)]
-    for i in range(n):
-        up.append(up[-1] * (a + i) / (i + 1))
-        vp.append(vp[-1] * (1.0 - a + i) / (i + 1))
-    total = complex(0.0)
-    zp_pow = complex(1.0)
-    zm_pows = [complex(1.0)]
-    for _ in range(n):
-        zm_pows.append(zm_pows[-1] * z_minus)
-    for i in range(n + 1):
-        total += up[i] * zp_pow * vp[n - i] * zm_pows[n - i]
-        zp_pow *= z_plus
-    return 2j * math.pi * total
+    a, zm, zp = np.broadcast_arrays(a, z_minus, z_plus)
+    out = np.empty((n + 1,) + a.shape, dtype=np.result_type(a, zm, zp, float))
+    total = zp + zm
+    prod = zp * zm
+    first = a * zp + (1.0 - a) * zm
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = first
+    for m in range(1, n):
+        lifted = (m * total + first) * out[m] - m * prod * out[m - 1]
+        out[m + 1] = lifted / (m + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
     tail is truncated where the exponent is below -1500.
     """
     if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho}")
+        raise InvalidInput(f"rho must be in (0, 1), got {rho}")
     p = rho / (1.0 - rho)
     s = 1.0 - rho
     width = math.sqrt(2.0 * 1500.0) / s
@@ -249,7 +249,7 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
 def harmonic(n: int) -> float:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
     if n < 0:
-        raise ValueError(f"harmonic index must be >= 0, got {n}")
+        raise InvalidInput(f"harmonic index must be >= 0, got {n}")
     return math.fsum(1.0 / k for k in range(1, n + 1))
 
 

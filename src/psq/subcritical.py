@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import LogDensityApprox
 from .errors import (
     BracketFailure,
     CurveSingularity,
@@ -55,67 +56,6 @@ _EQ_QUAD_TOL = 1e-11
 _EVAL_QUAD_TOL = 1e-12
 _CURVE_GUARD = 1e-8
 
-# ---------------------------------------------------------------------------
-# log-domain density representation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogDensityApprox:
-    """Asymptotic density in log form, split by order of the scale parameter.
-
-    The represented value is
-
-        exp(S*cN + S^(3/4)*cN34 + sqrt(S)*cSqrt + S^(1/3)*cCbrt
-            + S^(1/4)*cQuarter + cLog*log(S) + c1)
-
-    where S is the large parameter (the population N for the finite-model
-    regions; the time t for the infinite-model corner tail, whose stretched
-    exponential carries the cube-root slot that the N-expansions leave zero).
-    The S^(3/4) slot carries the time decay of the sigma = t/N^(3/4) layers.
-    """
-
-    coeff_N: float
-    coeff_sqrtN: float = 0.0
-    coeff_N14: float = 0.0
-    coeff_logN: float = 0.0
-    coeff_O1: float = 0.0
-    coeff_cbrt: float = 0.0
-    coeff_N34: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "coeff_N",
-            "coeff_sqrtN",
-            "coeff_N14",
-            "coeff_logN",
-            "coeff_O1",
-            "coeff_cbrt",
-            "coeff_N34",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-
-    def log_value(self, scale: float) -> float:
-        """Log of the represented density at the given scale parameter."""
-        if scale <= 0.0:
-            raise InvalidInput(f"scale must be positive, got {scale}")
-        return (
-            scale * self.coeff_N
-            + scale**0.75 * self.coeff_N34
-            + math.sqrt(scale) * self.coeff_sqrtN
-            + scale ** (1.0 / 3.0) * self.coeff_cbrt
-            + scale**0.25 * self.coeff_N14
-            + self.coeff_logN * math.log(scale)
-            + self.coeff_O1
-        )
-
-    def value(self, scale: float) -> float:
-        """Represented density; may underflow to zero, never overflows for
-        the decaying approximations this package produces."""
-        return math.exp(self.log_value(scale))
-
 
 def _require_subcritical(rho: float) -> None:
     if not 0.0 < rho < 1.0:
@@ -139,6 +79,8 @@ class CriticalCurves:
     tau0/xi0 and tau_star/xi_star are exact inverse pairs.  Below tau0 the
     density is algebraically small (R1); between the curves a saddle point
     controls it (R2); above tau_star the slowest decay mode dominates (R3).
+    Where e^(rho tau) leaves the float range, xi0 and xi_star are inf: both
+    curves then lie beyond every xi.
     """
 
     rho: float
@@ -158,13 +100,20 @@ class CriticalCurves:
     def xi0(self, tau: float) -> float:
         if tau < 0.0:
             raise InvalidInput(f"tau must be nonnegative, got {tau}")
-        return (1.0 - self.rho) / self.rho * math.expm1(self.rho * tau)
+        try:
+            growth = math.expm1(self.rho * tau)
+        except OverflowError:
+            return math.inf
+        return (1.0 - self.rho) / self.rho * growth
 
     def xi_star(self, tau: float) -> float:
         if tau < 0.0:
             raise InvalidInput(f"tau must be nonnegative, got {tau}")
         c = 1.0 - math.sqrt(self.rho)
-        s = math.sinh(0.5 * self.rho * tau)
+        try:
+            s = math.sinh(0.5 * self.rho * tau)
+        except OverflowError:
+            return math.inf
         return 4.0 * c / self.rho * s * s
 
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IndexTooLarge, NotSupercritical, OutOfRegion
+from .errors import IndexTooLarge, InvalidInput, NotSupercritical, OutOfRegion
 from .exact import ModelParams, Regime, build_generator, spectral_decompose
 from .specfun import cut_integral, harmonic
-
-_TWO_PI_I = 2j * math.pi
 
 
 def _require_supercritical(params: ModelParams) -> None:
@@ -45,9 +43,9 @@ class XiTauPoint:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.xi <= 1.0:
-            raise ValueError(f"xi must lie in (0, 1], got {self.xi}")
+            raise InvalidInput(f"xi must lie in (0, 1], got {self.xi}")
         if self.tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+            raise InvalidInput(f"tau must be nonnegative, got {self.tau}")
 
     @classmethod
     def from_indices(cls, n: int, t: float, population: int) -> XiTauPoint:
@@ -136,16 +134,15 @@ def xi_tau_expansion(pt: XiTauPoint, params: ModelParams) -> SuperExpansion:
 def small_n_scale_super(n: int, tau: float, params: ModelParams) -> float:
     """Density for n = O(1) customers at t = N tau, rho > 1.
 
-    The loop integral around the cut [1/rho, 1] reduces to a finite
-    coefficient sum; the printed phase makes the result real, which is
-    asserted to one part in 10^10.
+    The loop integral around the cut [1/rho, 1] comes from specfun.cut_integral,
+    whose recurrence runs in real floats for the real alpha0 and branch points.
     """
     _require_supercritical(params)
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise InvalidInput(f"tau must be positive, got {tau}")
     rho = params.rho
     alpha0 = rho / (rho - 1.0)
-    loop = cut_integral(n, alpha0, 1.0 / rho, 1.0) / _TWO_PI_I
+    loop = float(cut_integral(n, alpha0, 1.0 / rho, 1.0)[n])
     prefactor = (
         params.population ** -alpha0
         * alpha0 ** (2.0 * alpha0 - 1.0)
@@ -153,10 +150,7 @@ def small_n_scale_super(n: int, tau: float, params: ModelParams) -> float:
         * (-math.expm1(-rho * tau)) ** -alpha0
         * math.exp(-alpha0 * tau)
     )
-    value = prefactor * loop
-    if abs(value.imag) > 1e-10 * abs(value):
-        raise ValueError(f"loop integral failed to come out real: {value}")
-    return value.real
+    return prefactor * loop
 
 
 def algebraic_tail_constant(n: int, rho: float) -> float:
@@ -169,15 +163,8 @@ def algebraic_tail_constant(n: int, rho: float) -> float:
     if rho <= 1.0:
         raise NotSupercritical(f"algebraic tail requires rho > 1, got {rho}")
     alpha0 = rho / (rho - 1.0)
-    loop = cut_integral(n, alpha0, 1.0 / rho, 1.0) / _TWO_PI_I
-    if abs(loop.imag) > 1e-10 * abs(loop):
-        raise ValueError(f"loop integral failed to come out real: {loop}")
-    return (
-        alpha0 ** (2.0 * alpha0 - 1.0)
-        * math.gamma(alpha0)
-        * rho**-alpha0
-        * loop.real
-    )
+    loop = float(cut_integral(n, alpha0, 1.0 / rho, 1.0)[n])
+    return alpha0 ** (2.0 * alpha0 - 1.0) * math.gamma(alpha0) * rho**-alpha0 * loop
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +194,7 @@ def unconditional_super(
     """
     _require_supercritical(params)
     if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+        raise InvalidInput(f"tau must be nonnegative, got {tau}")
     rho = params.rho
     big_n = params.population
     gap = rho - 1.0
@@ -232,7 +219,7 @@ def eigen_asym_super(j: int, params: ModelParams) -> float:
     """Eigenvalue approximation nu_j ~ (rho j + rho/(rho-1))/N for j = O(1)."""
     _require_supercritical(params)
     if j < 0:
-        raise ValueError(f"index must be nonnegative, got {j}")
+        raise InvalidInput(f"index must be nonnegative, got {j}")
     if j > params.population / 10:
         raise IndexTooLarge(
             f"j = {j} outside the j = O(1) window for N = {params.population}"
@@ -339,7 +326,7 @@ class LargeRhoSpectrum:
 
     def _check_state(self, n: int) -> None:
         if not 0 <= n <= self.params.population - 1:
-            raise ValueError(f"state index must be in [0, N-1], got {n}")
+            raise InvalidInput(f"state index must be in [0, N-1], got {n}")
 
 
 def large_rho_spectrum(params: ModelParams) -> LargeRhoSpectrum:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -54,6 +55,8 @@ ORACLE_CASES = [
     (0, 200.0 + 0.0j, 0.5),
     (4, 0.05 + 0.0j, 0.9),
     (2, 0.02 + 0.0j, 2.0),
+    (16, 1.3 + 0.0j, 0.5),
+    (16, 0.7 + 1.1j, 2.0),
 ]
 
 
@@ -307,6 +310,24 @@ def test_tail_supercritical_constant_closed_form() -> None:
     # C = 8 * Gamma(2) * 2^-2 * (n/2 + 1) = n + 2
     for n in range(4):
         assert abs(algebraic_tail_constant(n, 2.0) - (n + 2.0)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_tail_supercritical_constant_near_critical(n: int) -> None:
+    # at rho = 1.05, alpha0 = 21: the loop sum's binomial terms alternate and
+    # cancel by many digits, so the reference sums them in 60 digits
+    rho = mp.mpf("1.05")
+    alpha0 = rho / (rho - 1)
+    with mp.workdps(60):
+        loop = mp.fsum(
+            mp.rf(alpha0, i) / mp.factorial(i)
+            * mp.rf(1 - alpha0, n - i) / mp.factorial(n - i)
+            * rho ** (i - n)
+            for i in range(n + 1)
+        )
+        want = alpha0 ** (2 * alpha0 - 1) * mp.gamma(alpha0) * rho**-alpha0 * loop
+    got = algebraic_tail_constant(n, 1.05)
+    assert abs(got / float(want) - 1.0) <= 1e-12
 
 
 def test_tail_supercritical_slots() -> None:

@@ -126,22 +126,23 @@ def test_loop_series_index_guard() -> None:
 def test_cut_integral_low_orders() -> None:
     a = 0.7
     zm, zp = 0.25, 1.6
-    assert cut_integral(0, a, zm, zp) == pytest.approx(2j * math.pi, rel=1e-14)
-    want1 = 2j * math.pi * ((1.0 - a) * zm + a * zp)
-    assert cut_integral(1, a, zm, zp) == pytest.approx(want1, rel=1e-14)
-    want2 = 2j * math.pi * (
+    r = cut_integral(2, a, zm, zp)
+    assert r.shape == (3,)
+    assert r[0] == 1.0
+    assert r[1] == pytest.approx((1.0 - a) * zm + a * zp, rel=1e-14)
+    want2 = (
         0.5 * a * (a + 1.0) * zp ** 2
         + a * (1.0 - a) * zp * zm
         + 0.5 * (1.0 - a) * (2.0 - a) * zm ** 2
     )
-    assert cut_integral(2, a, zm, zp) == pytest.approx(want2, rel=1e-13)
+    assert r[2] == pytest.approx(want2, rel=1e-13)
 
 
 def test_cut_integral_homogeneity() -> None:
     a, zm, zp, lam = 1.35, 0.4, 1.2, 2.5
     base = cut_integral(5, a, zm, zp)
     scaled = cut_integral(5, a, lam * zm, lam * zp)
-    assert scaled == pytest.approx(lam ** 5 * base, rel=1e-12)
+    assert scaled == pytest.approx(lam ** np.arange(6) * base, rel=1e-12)
 
 
 def _circle_oracle(n: int, a: complex, zm: complex, zp: complex) -> complex:
@@ -151,9 +152,11 @@ def _circle_oracle(n: int, a: complex, zm: complex, zp: complex) -> complex:
        = z^(n-1) (1 - z_plus/z)^(-a) (1 - z_minus/z)^(a-1)
     with principal logs; both (1 - w) factors stay in the right half plane on
     the circle, so the parametrized integrand is smooth and the trapezoid
-    converges geometrically.
+    converges geometrically, as 0.8^1024 on a circle 1.25 times the larger
+    |z|.  A circle much wider than that would round off as radius^n, far
+    above the integral at n = 16.
     """
-    radius = 2.0 * max(abs(zm), abs(zp)) + 1.0
+    radius = 1.25 * max(abs(zm), abs(zp))
     m = 1024
     total = 0.0j
     for i in range(m):
@@ -166,22 +169,37 @@ def _circle_oracle(n: int, a: complex, zm: complex, zp: complex) -> complex:
 
 
 def test_cut_integral_matches_circle_quadrature() -> None:
+    # every order up to 16 from one call, against the circle rule over 2 pi i
     rng = np.random.default_rng(20240814)
     for _ in range(20):
-        n = int(rng.integers(0, 9))
         a = float(rng.uniform(-2.0, 3.0))
         zm = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         zp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         if abs(zp - zm) < 0.1:
             zp += 0.5
-        got = cut_integral(n, a, zm, zp)
-        want = _circle_oracle(n, a, zm, zp)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        got = cut_integral(16, a, zm, zp)
+        for n in range(17):
+            want = _circle_oracle(n, a, zm, zp) / (2j * math.pi)
+            assert got[n] == pytest.approx(want, rel=1e-9, abs=1e-12), (n, a, zm, zp)
+
+
+def test_cut_integral_broadcasts() -> None:
+    # array arguments give one column per point, each its scalar call
+    a = np.array([0.7, 1.35 + 0.2j])
+    zm = np.array([0.25, 0.4 - 0.1j])
+    zp = np.array([1.6, 1.2 + 0.3j])
+    got = cut_integral(6, a, zm, zp)
+    assert got.shape == (7, 2)
+    for k in range(2):
+        one = cut_integral(6, a[k], zm[k], zp[k])
+        assert got[:, k] == pytest.approx(one, rel=1e-15)
 
 
 def test_cut_integral_coincident_points() -> None:
-    with pytest.raises(ValueError):
-        cut_integral(3, 0.5, 1.0, 1.0)
+    assert cut_integral(3, 0.5, 1.0, 1.0)[3] == 1.0
+    z0 = 0.7 + 0.2j
+    got = cut_integral(9, -1.3, z0, z0)
+    assert got == pytest.approx(z0 ** np.arange(10), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ the double root a = 2 sqrt(c), and for their divergence at the floor
 a = -2 sqrt(c); `t2_evaluate` is checked against values recorded from the
 quadrature it replaced.
 
-Also here: each root solve evaluates its layer equation once per distinct
+Also here: `classify` gives every (n, t) one label (a hypothesis property
+test); each root solve evaluates its layer equation once per distinct
 argument; bad caller input raises InvalidInput; the eigenvalue expansion
 converges to the exact spectrum at its predicted order; and the seams and
 defects that ROADMAP items 2 and 3 are to mend stand as strict xfails.
@@ -26,6 +27,7 @@ from collections import Counter
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from psq import subcritical
@@ -265,6 +267,49 @@ def test_root_memo_lives_for_one_solve(monkeypatch) -> None:
     calls = sum(seen.values())
     assert _solve_b1_direct(0.5, 0.45, PARAMS.rho, C) == first
     assert sum(seen.values()) == 2 * calls
+
+
+# ---------------------------------------------------------------------------
+# classification: one label for every point
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _grid_points(draw):
+    big_n = draw(st.sampled_from([10**3, 10**4, 10**6]))
+    rho = draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True))
+    n = draw(st.integers(0, big_n - 1))
+    t = draw(st.floats(0.0, 1e3 * big_n))
+    return big_n, rho, n, t
+
+
+# derandomized and without an example database, so every run draws the same
+# examples and none is saved between runs
+@settings(database=None, derandomize=True, deadline=None)
+@given(_grid_points())
+def test_classify_labels_every_point(point) -> None:
+    big_n, rho, n, t = point
+    params = ModelParams(big_n, rho)
+    label = classify(n, t, params)
+    assert label.kind in subcritical.REGIME_KINDS
+    assert (label.xi, label.tau, label.x, label.sigma) == (
+        n / big_n,
+        t / big_n,
+        n / math.sqrt(big_n),
+        t / big_n**0.75,
+    )
+    assert (label.sub is not None) == (label.kind == "BL_xsigma")
+    assert classify(n, t, params) == label
+
+
+def test_critical_curves_past_float_range() -> None:
+    # math.expm1(rho tau) overflows past tau = 709.8 / rho (xi0) and
+    # math.sinh(rho tau / 2) past tau = 1421 / rho (xi_star); both curves are
+    # then beyond every xi, and a bulk point there is R3
+    curves = critical_curves(0.95)
+    assert curves.xi0(1000.0) == math.inf
+    assert curves.xi_star(2000.0) == math.inf
+    assert classify(500, 1e6, ModelParams(1000, 0.95)).kind == "R3"
 
 
 # ---------------------------------------------------------------------------
