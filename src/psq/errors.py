@@ -1,7 +1,10 @@
 """Error taxonomy shared across the package.
 
 Every domain-level failure raises a subclass of PSQError so callers can
-distinguish numerical-contract violations from programming errors.
+distinguish numerical-contract violations from programming errors.  A few
+subclasses are also ValueErrors (InvalidInput, NegativeDensity,
+SearchExhausted), for callers that caught the ValueError those checks once
+raised.
 """
 
 from __future__ import annotations
@@ -17,6 +20,13 @@ class DegenerateSpectrum(PSQError):
     """Two eigenvalues are too close for the sorted spectrum to be trusted."""
 
 
+class NegativeDensity(PSQError, ValueError):
+    """A density came out negative beyond round-off: a balanced mode sum
+    (conditional_density_exact) or a tabulated trajectory (integrate_ode,
+    spectral_trajectory) below -1e-12, or an oracle mode sum that is not
+    positive (oracle_conditional_log)."""
+
+
 class StepTooLarge(PSQError):
     """Explicit ODE step violates the stability bound step * nu_max <= 0.1."""
 
@@ -26,13 +36,13 @@ class UnsupportedN(PSQError):
 
 
 class InvalidInput(PSQError, ValueError):
-    """Argument outside a function's domain: model parameters with N < 2 or
-    rho not positive; for the exact evaluators a time that is NaN or
+    """Argument outside a function's domain: model parameters with N < 2 or rho
+    not positive and finite; for the exact evaluators a time that is NaN or
     negative, a state index that is not an integer in 0..N-1, or a generator
     whose dimension is not the population N; an ODE horizon that is not
     positive and finite, a state index outside the N = 2 / N = 3 closed
-    forms, or oracle digits outside [15, 200]; for the infinite model a state
-    that is not a nonnegative integer, a rho that is not positive and
+    forms, or oracle digits outside [15, 200]; for the infinite model a
+    state that is not a nonnegative integer, a rho that is not positive and
     finite, a time that is not positive and finite (at least 10 for the tail
     formula), a transform argument that is not finite with a positive real
     part, an inversion step_scale other than 1 or 2, or a tail mass bound
@@ -105,3 +115,14 @@ class BranchCollision(PSQError):
 
 class InversionUnstable(PSQError):
     """Euler-accelerated inversion terms oscillate beyond tolerance."""
+
+
+class TransformOverflow(PSQError):
+    """The transform left double range: at large n and |theta| the loop
+    ratios grow like |z_+|^n and z_-^n underflows, so the assembled p_hat is
+    not finite (n = 60 at theta = 0.5 + 1e5 i, rho = 0.5)."""
+
+
+class SearchExhausted(PSQError, ValueError):
+    """The tail-truncation time search passed its last step without the
+    remaining mass falling below the bound."""

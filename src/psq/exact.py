@@ -7,6 +7,15 @@ customer arrives.  Everything here is exact (up to floating point): generator
 construction, steady-state arrival weights, spectral decomposition, the
 spectral and Runge-Kutta density evaluations, closed forms for N = 2 and
 N = 3, and an extended-precision oracle for tail validation.
+
+LAPACK (scipy.linalg) and mpmath load on first use, inside the functions
+that need them: importing this module, which every asymptotic module does
+for ModelParams, costs neither import.  spectral_decompose and integrate_ode
+import scipy.linalg, about 0.3 s the first time; the oracle imports mpmath.
+
+On scipy 1.17 the 'auto' driver of eigh_tridiagonal is LAPACK stevd
+(divide and conquer), not stemr; its workspace of order N^2 doubles, on top
+of the N x N eigenvector matrix, sets the peak memory of a decomposition.
 """
 
 from __future__ import annotations
@@ -15,11 +24,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import DegenerateSpectrum, InvalidInput, StepTooLarge, UnsupportedN
+from .errors import (
+    DegenerateSpectrum,
+    InvalidInput,
+    NegativeDensity,
+    StepTooLarge,
+    UnsupportedN,
+)
 
 NEGATIVE_CLAMP = -1e-12
 ORACLE_MAX_N = 64
@@ -42,8 +55,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not isinstance(self.population, int) or self.population < 2:
             raise InvalidInput(f"population must be an integer >= 2, got {self.population}")
-        if not self.rho > 0.0:
-            raise InvalidInput(f"rho must be positive, got {self.rho}")
+        if not 0.0 < self.rho < math.inf:
+            raise InvalidInput(f"rho must be positive and finite, got {self.rho}")
 
     @property
     def regime(self) -> Regime:
@@ -186,6 +199,8 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
     same diagonal and off-diagonal sqrt(sup[n] * sub[n]); its eigenvectors map
     back by D^{-1}.  Raises InvalidInput when gen and params disagree on N.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = gen.dimension
     if n != params.population:
         raise InvalidInput(
@@ -240,7 +255,8 @@ def conditional_density_exact(spec: SpectralDecomposition, n: int, t: float) -> 
     Absolute error is of order eps / D_n: machine accurate for bulk states,
     while edge states with exponentially small D_n sit below the double
     round-off floor (use the log variant or the oracle there).  Raises
-    InvalidInput for a NaN or negative t or a state n outside 0..N-1.
+    InvalidInput for a NaN or negative t or a state n outside 0..N-1, and
+    NegativeDensity when the weighted sum is below -1e-12.
     """
     _check_state(spec, n)
     _check_time(t)
@@ -248,7 +264,9 @@ def conditional_density_exact(spec: SpectralDecomposition, n: int, t: float) -> 
         (spec.sym_coeffs * spec.sym_vectors[n, :] * np.exp(-spec.eigenvalues * t)).sum()
     )
     if w < NEGATIVE_CLAMP:
-        raise ValueError(f"weighted density {w} below round-off clamp at (n={n}, t={t})")
+        raise NegativeDensity(
+            f"weighted density {w} below round-off clamp at (n={n}, t={t})"
+        )
     if spec.scale[n] == 0.0:
         return 0.0
     return max(w, 0.0) / spec.scale[n]
@@ -341,8 +359,11 @@ def integrate_ode(
     """Classical RK4 integration of p' = A p from p_n(0) = 1/(n+1).
 
     The step honors step * nu_max <= 0.1 where nu_max is the largest decay
-    rate; a caller-forced larger step raises StepTooLarge.
+    rate; a caller-forced larger step raises StepTooLarge.  A trajectory
+    that dips below -1e-12 raises NegativeDensity.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if not 0.0 < t_max < math.inf:
         raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
     nu_max = float(-eigh_tridiagonal(
@@ -376,7 +397,7 @@ def integrate_ode(
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[:, i + 1] = p
     if out.min() < NEGATIVE_CLAMP:
-        raise ValueError(f"trajectory dipped to {out.min():.3e}, beyond round-off")
+        raise NegativeDensity(f"trajectory dipped to {out.min():.3e}, beyond round-off")
     np.clip(out, 0.0, None, out=out)
     return DensityTrajectory(times=times, values=out, method="ode")
 
@@ -384,12 +405,14 @@ def integrate_ode(
 def spectral_trajectory(
     spec: SpectralDecomposition, times: np.ndarray
 ) -> DensityTrajectory:
-    """Tabulate the balanced spectral representation on a time grid."""
+    """Tabulate the balanced spectral representation on a time grid.
+
+    Raises NegativeDensity where a weighted value dips below -1e-12."""
     grid = np.asarray(times, dtype=float)
     expo = np.exp(-np.outer(spec.eigenvalues, grid))
     weighted = (spec.sym_vectors * spec.sym_coeffs) @ expo
     if weighted.min() < NEGATIVE_CLAMP:
-        raise ValueError(
+        raise NegativeDensity(
             f"weighted trajectory dipped to {weighted.min():.3e}, beyond round-off"
         )
     np.clip(weighted, 0.0, None, out=weighted)
@@ -485,6 +508,8 @@ def oracle_decompose(
     precision operations and the oracle exists to resolve densities of size
     exp(-O(N)) that cancel catastrophically in doubles.
     """
+    import mpmath as mp
+
     n = params.population
     if n > ORACLE_MAX_N:
         raise UnsupportedN(f"oracle limited to N <= {ORACLE_MAX_N}, got {n}")
@@ -537,7 +562,10 @@ def oracle_decompose(
 
 
 def oracle_conditional_log(dec: OracleDecomposition, n: int, t: float):
-    """ln p_n(t) as an mpf, resolving exponentially small tails."""
+    """ln p_n(t) as an mpf, resolving exponentially small tails; raises
+    NegativeDensity where the mode sum is not positive."""
+    import mpmath as mp
+
     with mp.workdps(dec.digits + 10):
         tt = mp.mpf(repr(t))
         val = mp.fsum(
@@ -545,6 +573,6 @@ def oracle_conditional_log(dec: OracleDecomposition, n: int, t: float):
             for j in range(dec.params.population)
         )
         if val <= 0:
-            raise ValueError(f"oracle density non-positive at (n={n}, t={t})")
+            raise NegativeDensity(f"oracle density non-positive at (n={n}, t={t})")
         return mp.log(val)
 

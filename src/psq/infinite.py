@@ -29,8 +29,9 @@ the head term and the whole Bromwich ladder.
 
 Accuracy note: the assembly multiplies z_-^n into loop ratios that grow like
 z_+^m, so double precision holds while |z_+|^n stays in range: up to n ~ 50
-for |theta| ~ 1e5 (at n = 60 it overflows to nan); the package only needs
-n <= 16 here.
+for |theta| ~ 1e5.  Past that (n = 60 there) transform_phat raises
+TransformOverflow rather than return nan; the package only needs n <= 16
+here.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogDensityApprox
-from .errors import BranchCollision, InvalidInput, InversionUnstable
+from .errors import (
+    BranchCollision,
+    InvalidInput,
+    InversionUnstable,
+    SearchExhausted,
+    TransformOverflow,
+)
 from .specfun import cut_integral, loop_series_Q_log, tanh_sinh
 from .supercritical import algebraic_tail_constant
 
@@ -146,6 +153,9 @@ def transform_phat(n: int, theta, rho: float):
     cross a cut there because Im(1 - (z_-/z_+) s) has one sign along the
     segment.  One tanh-sinh call integrates both for every theta, so the
     kernel (1 - x s)^(-a) (1 - s)^(a-1) is formed once per node.
+
+    Raises TransformOverflow, naming n, theta and rho, where the assembly
+    leaves double range (see the module's accuracy note).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise InvalidInput(f"n must be a nonnegative integer, got {n}")
@@ -170,9 +180,18 @@ def transform_phat(n: int, theta, rho: float):
     base, tail = np.split(
         tanh_sinh(integrand, 0.0, 1.0, rel_tol=1e-12, vectorized=True), 2
     )
-    ratios = cut_integral(n, alphas, z_minus, z_plus)
-    source = rho ** np.arange(n + 1) @ ratios
-    out = z_minus * (z_minus**n * base * source + ratios[n] * y ** (n + 1) * tail)
+    # the loop ratios grow like z_+^m: past double range they overflow and
+    # meet an underflowed z_-^n, which the finiteness check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = cut_integral(n, alphas, z_minus, z_plus)
+        source = rho ** np.arange(n + 1) @ ratios
+        out = z_minus * (z_minus**n * base * source + ratios[n] * y ** (n + 1) * tail)
+    lost = ~np.isfinite(out)
+    if lost.any():
+        raise TransformOverflow(
+            f"p_hat left double range at (n={n}, theta={thetas.ravel()[lost][0]}, "
+            f"rho={rho})"
+        )
     return complex(out[0]) if thetas.ndim == 0 else out
 
 
@@ -283,4 +302,7 @@ def tail_truncation_time(n: int, rho: float, mass_bound: float) -> float:
         if remaining < mass_bound:
             return t
         t *= 1.3
-    raise ValueError("truncation search did not converge")
+    raise SearchExhausted(
+        f"no truncation time up to {t / 1.3:.3e} at (n={n}, rho={rho}, "
+        f"mass_bound={mass_bound})"
+    )

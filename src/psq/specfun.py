@@ -8,7 +8,8 @@ loop_series_Q          the loop integral (1/2pi i) oint z^(-n-1) (1-z)^(-1) e^(1
 cut_integral           branch-cut loop integrals of orders 0..n by their recurrence
 parabolic_cylinder_H   the transition-layer integral H(Delta_1)
 harmonic               harmonic numbers
-find_root_bracketed    Brent root finding on a sign-changing bracket
+find_root_bracketed    Brent root finding on a sign-changing bracket, by a port
+                       of scipy's C brentq that gives its roots bit for bit
 tanh_sinh / quad_to_infinity   quadrature kernels
 elementwise            a scalar function over an array, with the scalar bits
 
@@ -53,6 +54,15 @@ its function behind functools.cache before the search, and the root finder
 reads that same memo: the bracket ends, Brent's first calls there and the
 residual check at the root cost no second quadrature.  No memo outlives its
 solve, so repeating a solve repeats its work.
+
+The Brent iteration is a line-for-line port of scipy's C `brentq`
+(scipy/optimize/Zeros/brentq.c, after Brent 1973, Algorithms for
+Minimization without Derivatives, ch. 4; scipy is BSD-3-licensed).  It
+takes the same steps in the same double arithmetic, so it returns
+scipy.optimize.brentq's root with == and raises the same exception types,
+without the cost of importing scipy.optimize.  Where C divides by zero and
+goes on with inf or nan, which always fails the short-step test, the port
+tests the divisor and bisects.
 """
 
 from __future__ import annotations
@@ -64,7 +74,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BracketFailure,
@@ -282,13 +291,92 @@ def find_root_bracketed(
         return hi
     if flo * fhi > 0.0:
         raise NoSignChange(f"f({lo}) = {flo} and f({hi}) = {fhi} have equal sign")
-    root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = _brentq(f, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16, maxiter=200)
     residual = abs(f(root))
     if residual > tol:
         raise BracketFailure(
             f"root at {root} leaves |f| = {residual:.3e} > tol = {tol:.3e}"
         )
-    return float(root)
+    return root
+
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int,
+) -> float:
+    """scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter),
+    ported from scipy's C brentq (BSD-3; see the module docstring).
+
+    xpre is the previous iterate, xcur the current best and xblk the
+    contrapoint, with f of opposite signs at xcur and xblk; spre and scur are
+    the previous and current steps.  As scipy does, a NaN value of f raises
+    ValueError, ends of equal sign raise ValueError and no convergence in
+    maxiter iterations raises RuntimeError.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # C compares signbit(); for values that are neither zero nor NaN that is x < 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # a zero divisor gives C an inf or nan step, which never passes
+            # the short-step test below: stay at inf and bisect
+            stry = math.inf
+            if xpre == xblk:  # interpolate
+                den = fcur - fpre
+                if den != 0.0:
+                    stry = -fcur * (xcur - xpre) / den
+            elif xpre != xcur and xblk != xcur:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+            # C's MIN(a, b), which gives b when b is nan where min() gives a
+            far, near = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (far if far < near else near):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------

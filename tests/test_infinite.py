@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
-from psq.errors import BranchCollision, InvalidInput
+from psq.errors import BranchCollision, InvalidInput, TransformOverflow
 from psq.infinite import (
     TransformPoint,
     invert_density,
@@ -77,6 +77,22 @@ def test_transform_matches_truncated_solve() -> None:
             assert abs(val - ref) <= 1e-11 * abs(ref), (n, theta, rho)
             one = transform_phat(n, theta, rho)
             assert abs(val - one) <= 1e-12 * abs(one), (n, theta, rho)
+
+
+def test_transform_large_n_and_theta_matches_truncated_solve() -> None:
+    # the edge of the accuracy note: n = 50 at |theta| = 1e5 is still in range
+    theta = 0.5 + 1e5j
+    ref = phat_truncated_solve(50, theta, 0.5)
+    assert abs(transform_phat(50, theta, 0.5) - ref) <= 1e-11 * abs(ref)
+
+
+def test_transform_overflow_raises() -> None:
+    # at n = 60 the loop ratios leave double range: an error naming the
+    # point, not a nan (nor a RuntimeWarning, an error under this suite)
+    with pytest.raises(TransformOverflow, match=r"n=60, theta=\(0\.5\+100000j\), rho=0\.5"):
+        transform_phat(60, 0.5 + 1e5j, 0.5)
+    with pytest.raises(TransformOverflow, match="n=60"):
+        invert_density(60, 1e-3, 0.5)
 
 
 def test_vieta_identities() -> None:
