@@ -126,3 +126,10 @@ class TransformOverflow(PSQError):
 class SearchExhausted(PSQError, ValueError):
     """The tail-truncation time search passed its last step without the
     remaining mass falling below the bound."""
+
+
+class NoTruncationTime(PSQError):
+    """The tail-truncation time is not a finite double: at rho = 1, where the
+    corner tail is neither stretched-exponential nor algebraic, and for
+    rho > 1 where C / ((alpha0 - 1) mass_bound) to the power rho - 1 leaves
+    double range (rho = 100 at mass_bound = 1e-6)."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ from .errors import (
     BranchCollision,
     InvalidInput,
     InversionUnstable,
+    NoTruncationTime,
     SearchExhausted,
     TransformOverflow,
 )
@@ -55,6 +57,8 @@ from .supercritical import algebraic_tail_constant
 
 _BRANCH_TOL = 1e-10
 _VIETA_TOL = 1e-12
+# exp of anything above this overflows
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 # Abate-Whitt abscissa constant: discretization error ~ e^{-A}.
 _AW_A = 18.4
@@ -287,14 +291,29 @@ def tail_asym_infinite(n: int, t: float, rho: float) -> LogDensityApprox:
 
 
 def tail_truncation_time(n: int, rho: float, mass_bound: float) -> float:
-    """Time beyond which the remaining tail mass is below mass_bound."""
+    """Time beyond which the remaining tail mass is below mass_bound.
+
+    For rho > 1 the tail C t^(-alpha0) leaves mass
+    C t^(1 - alpha0) / (alpha0 - 1) past t, solved for t in log form.  Raises
+    NoTruncationTime where that t is not a finite double, and at rho = 1,
+    where neither tail formula holds.
+    """
     if not 0.0 < mass_bound < 1.0:
         raise InvalidInput(f"mass_bound must lie in (0, 1), got {mass_bound}")
+    where = f"(n={n}, rho={rho}, mass_bound={mass_bound})"
+    if rho == 1.0:
+        raise NoTruncationTime(f"no tail formula at rho = 1 {where}")
     approx = tail_asym_infinite(n, 10.0, rho)
-    if rho >= 1.0:
-        alpha0 = rho / (rho - 1.0)
-        const = math.exp(approx.coeff_O1)
-        return (const / ((alpha0 - 1.0) * mass_bound)) ** (1.0 / (alpha0 - 1.0))
+    if rho > 1.0:
+        # alpha0 - 1 = 1 / (rho - 1), so t = (C (rho - 1) / mass_bound)^(rho - 1)
+        log_t = (rho - 1.0) * (
+            approx.coeff_O1 + math.log(rho - 1.0) - math.log(mass_bound)
+        )
+        if not log_t <= _LOG_DOUBLE_MAX:
+            raise NoTruncationTime(
+                f"truncation time exp({log_t:.6g}) leaves double range {where}"
+            )
+        return math.exp(log_t)
     decay = (1.0 - math.sqrt(rho)) ** 2
     t = 20.0
     for _ in range(200):

@@ -686,7 +686,9 @@ class XsigmaSolution:
 def _split_quad(h, upper_w: float, c: float, rel_tol: float) -> float:
     # integral of the array integrand h over (0, upper_w); the layer
     # quadratic is flattest at w = c^(-1/4), and splitting there turns a
-    # possible mid-panel spike into two endpoint features
+    # possible mid-panel spike into two endpoint features.  The inner panel
+    # (0, c^(-1/4)) depends on h's b1 and c alone, never on upper_w, which
+    # _bl_sigma_lhs uses to share it between solves
     w_mid = c**-0.25
     knots = (0.0, w_mid, upper_w) if upper_w > w_mid else (0.0, upper_w)
     return sum(
@@ -695,13 +697,51 @@ def _split_quad(h, upper_w: float, c: float, rel_tol: float) -> float:
     )
 
 
-def _bl_sigma_lhs(x: float, b1: float, c: float, rel_tol: float = _EQ_QUAD_TOL) -> float:
-    # integral of [c v + 1/v + b1]^(-1/2) over (0, x), via v = w^2
+def _sigma_integrand(b1: float, c: float):
+    # [c v + 1/v + b1]^(-1/2) dv with v = w^2, as an array integrand in w
     def h(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + b1) * w * w + 1.0
         return 2.0 * w * w / np.sqrt(q)
 
-    return _split_quad(h, math.sqrt(x), c, rel_tol)
+    return h
+
+
+# distinct (b1, c, rel_tol) inner panels kept.  A D1/D2 solve at x > v* asks
+# for 17-50 of them; every solve at its rho shares the left-end walk's 6-7
+# (all but the last give up at max_depth) and the upper end's first steps.
+# Solves at one rho keep their shared panels in; five to fifteen solves at
+# other rho values push them out
+_INNER_PANEL_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_INNER_PANEL_MEMO_SIZE)
+def _sigma_inner_panel(b1: float, c: float, rel_tol: float) -> float | MaxDepthExceeded:
+    # the panel (0, c^(-1/4)) of _bl_sigma_lhs, or the MaxDepthExceeded it
+    # gave up with (created afresh, so no traceback or frame is kept); any
+    # other error is not an outcome and propagates uncached
+    try:
+        h = _sigma_integrand(b1, c)
+        return tanh_sinh(h, 0.0, c**-0.25, rel_tol, vectorized=True)
+    except MaxDepthExceeded as err:
+        return MaxDepthExceeded(*err.args)
+
+
+def _bl_sigma_lhs(x: float, b1: float, c: float, rel_tol: float = _EQ_QUAD_TOL) -> float:
+    # integral of [c v + 1/v + b1]^(-1/2) over (0, x), via v = w^2.  Past the
+    # knot the inner panel is a pure function of (b1, c, rel_tol), so its
+    # memo returns the bits (or the failure) of the same quadrature run
+    # afresh, and adding 0 + inner + outer is the order _split_quad's sum()
+    # takes.  Every solve at one rho with x > v* walks its left end through
+    # the same b1 values, whose inner panels give up at max_depth
+    upper_w = math.sqrt(x)
+    w_mid = c**-0.25
+    h = _sigma_integrand(b1, c)
+    if upper_w <= w_mid:
+        return _split_quad(h, upper_w, c, rel_tol)
+    inner = _sigma_inner_panel(b1, c, rel_tol)
+    if isinstance(inner, MaxDepthExceeded):
+        raise MaxDepthExceeded(*inner.args)
+    return 0 + inner + tanh_sinh(h, w_mid, upper_w, rel_tol, vectorized=True)
 
 
 def _bl_sigma_lhs_d3(
@@ -759,6 +799,10 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
     # covers D1 and D2, whose shared equation is monotone decreasing in b1
     target = 2.0 * math.sqrt(rho) * sigma
     vstar = c**-0.5
+    # for x >= v* the floor, and with it the left-end walk's b1 values and
+    # the inner panels (0, c^(-1/4)) they need, depend on rho alone: the
+    # panels come from _bl_sigma_lhs's memo after the first such solve, with
+    # the bits a fresh quadrature gives
     floor = -2.0 * math.sqrt(c) if x >= vstar else -(c * x + 1.0 / x)
 
     @functools.cache  # one memo for the bracket search and the root solve

@@ -6,7 +6,9 @@ Each bad input raises InvalidInput, which is a PSQError (and still a
 ValueError, so callers that caught the raw ValueError these checks once
 raised keep working).  The rho < 1 module's own cases are in
 test_subcritical.py.  The numerical checks raise NegativeDensity or
-SearchExhausted, PSQErrors that are ValueErrors for the same reason.
+SearchExhausted, PSQErrors that are ValueErrors for the same reason, and
+the tail-truncation time raises NoTruncationTime where it has no finite
+double value, instead of a raw ZeroDivisionError or OverflowError.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import pytest
 
 from psq import infinite
 from psq.core import LogDensityApprox
-from psq.errors import InvalidInput, NegativeDensity, PSQError, SearchExhausted
+from psq.errors import (
+    InvalidInput,
+    NegativeDensity,
+    NoTruncationTime,
+    PSQError,
+    SearchExhausted,
+)
 from psq.exact import (
     Generator,
     ModelParams,
@@ -117,3 +125,20 @@ def test_truncation_search_exhausted(monkeypatch) -> None:
     with pytest.raises(SearchExhausted, match="rho=0.5") as info:
         infinite.tail_truncation_time(2, 0.5, 1e-6)
     assert isinstance(info.value, PSQError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "n, rho, message",
+    [
+        # rho / (rho - 1) divided by zero at the parent
+        (2, 1.0, "rho = 1"),
+        # the truncation time exp(1362.6) overflowed a float power at the parent
+        (0, 100.0, "leaves double range"),
+        (16, 1e300, "leaves double range"),
+    ],
+)
+def test_truncation_time_without_a_double_answer(n, rho, message) -> None:
+    with pytest.raises(NoTruncationTime, match=message) as info:
+        infinite.tail_truncation_time(n, rho, 1e-6)
+    assert isinstance(info.value, PSQError)
+    assert f"(n={n}, rho={rho}, mass_bound=1e-06)" in str(info.value)

@@ -373,6 +373,20 @@ def test_tail_guards() -> None:
         tail_truncation_time(0, 0.5, 2.0)
 
 
+@pytest.mark.parametrize("rho", [1.5, 4.0, 20.0, 50.0])
+def test_truncation_time_in_log_form(rho: float) -> None:
+    # t = (C (rho - 1) / mass_bound)^(rho - 1) with C = exp(coeff_O1), against
+    # 40 digits, within 2 ulps of log t (its exp can do no better than 1);
+    # the float power of the rounded alpha0 - 1 was 5.6 ulps off at rho = 50
+    coeff = tail_asym_infinite(3, 10.0, rho).coeff_O1
+    with mp.workdps(40):
+        gap = mp.mpf(rho) - 1
+        log_t = gap * (mp.mpf(coeff) + mp.log(gap) - mp.log(mp.mpf(1e-6)))
+        want = float(mp.exp(log_t))
+    got = tail_truncation_time(3, rho, 1e-6)
+    assert abs(got / want - 1.0) <= 2.0 * np.finfo(float).eps * float(log_t)
+
+
 def test_truncation_time_monotone_in_bound() -> None:
     loose = tail_truncation_time(0, 0.5, 1e-3)
     tight = tail_truncation_time(0, 0.5, 1e-6)

@@ -14,9 +14,12 @@ quadrature it replaced.
 
 Also here: `classify` gives every (n, t) one label (a hypothesis property
 test); each root solve evaluates its layer equation once per distinct
-argument; bad caller input raises InvalidInput; the eigenvalue expansion
-converges to the exact spectrum at its predicted order; and the seams and
-defects that ROADMAP items 2 and 3 are to mend stand as strict xfails.
+argument; the bounded memo of the layer equation's inner panel gives the
+bits of a fresh quadrature, replays its MaxDepthExceeded and spares later
+solves at one rho their left-end walk; bad caller input raises
+InvalidInput; the eigenvalue expansion converges to the exact spectrum at
+its predicted order; and the seams and defects that ROADMAP items 2 and 3
+are to mend stand as strict xfails.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from psq import subcritical
-from psq.errors import BracketFailure, CurveSingularity, InvalidInput, PSQError
+from psq.errors import (
+    BracketFailure,
+    CurveSingularity,
+    InvalidInput,
+    MaxDepthExceeded,
+    PSQError,
+)
 from psq.exact import ModelParams, build_generator
 from psq.infinite import tail_asym_infinite
 from psq.specfun import find_root_bracketed
@@ -119,6 +128,31 @@ def test_bl_xsigma_pinned(x, sigma, region, b1, eta, gamma, log_p) -> None:
     assert sol.region == region
     assert (sol.b1, sol.eta, sol.gamma) == (b1, eta, gamma)
     assert approx.log_value(PARAMS.population) == log_p
+
+
+# points past v* = c^(-1/2), whose layer integrals split at the knot and take
+# their inner panel from the memo: the surface table's ulp-pinned D1 point,
+# a D1 root near the floor, and a D1 point at rho = 0.75
+SPLIT_PANEL_CASES = [
+    (0.25, 1.777, 3.154e-5, 3174325630.9021144, -50059.11563644927,
+     885056.7074162087, -1581773.42568095),
+    (0.25, 2.045, 8.97, -1.4100910162408555, -8.035928232345816,
+     1.5742196894038454, -69760.61678151373),
+    (0.75, 3.645, 2.29e-5, 8445062062.778855, -167482.31696603834,
+     7799722835.810718, -5295719.19084938),
+]
+
+
+@pytest.mark.parametrize("rho, x, sigma, b1, eta, gamma, log_p", SPLIT_PANEL_CASES)
+def test_bl_xsigma_split_panel_pinned(rho, x, sigma, b1, eta, gamma, log_p) -> None:
+    # the same bits with the inner-panel memo cold and warm
+    params = ModelParams(population=10**6, rho=rho)
+    subcritical._sigma_inner_panel.cache_clear()
+    for _ in range(2):
+        sol, approx = bl_xsigma_evaluate(x, sigma, params)
+        assert sol.region == "D1"
+        assert (sol.b1, sol.eta, sol.gamma) == (b1, eta, gamma)
+        assert approx.log_value(params.population) == log_p
 
 
 def _t2_quadrature(a_val: float, c: float) -> tuple:
@@ -267,6 +301,82 @@ def test_root_memo_lives_for_one_solve(monkeypatch) -> None:
     calls = sum(seen.values())
     assert _solve_b1_direct(0.5, 0.45, PARAMS.rho, C) == first
     assert sum(seen.values()) == 2 * calls
+
+
+def _counting_depth_fails(monkeypatch) -> list:
+    """Count the quadratures of subcritical.tanh_sinh that give up at max_depth."""
+    fails = [0]
+    inner = subcritical.tanh_sinh
+
+    def counted(*args, **kwargs):
+        try:
+            return inner(*args, **kwargs)
+        except MaxDepthExceeded:
+            fails[0] += 1
+            raise
+
+    monkeypatch.setattr(subcritical, "tanh_sinh", counted)
+    return fails
+
+
+def test_inner_panel_shared_between_solves(monkeypatch) -> None:
+    # x >= v* = c^(-1/2) = 1.414: both solves walk their left end up from
+    # the floor -2 sqrt(c) through the same b1 values, whose inner panels
+    # give up at max_depth; the second solve reads them from the memo.  (Its
+    # outer panel is always integrated, and at some x, such as 2.5, it too
+    # gives up at the walk's first step where the inner panel converges)
+    subcritical._sigma_inner_panel.cache_clear()
+    fails = _counting_depth_fails(monkeypatch)
+    first = _solve_b1_direct(2.045, 8.97, PARAMS.rho, C)
+    assert fails[0] > 0
+    fails[0] = 0
+    second = _solve_b1_direct(3.0, 1e-3, PARAMS.rho, C)
+    assert fails[0] == 0
+    assert first != second
+
+
+@pytest.mark.parametrize("x", [2.0, 2.5, 3.0])
+def test_inner_panel_memo_keeps_the_bits(x) -> None:
+    # against both panels integrated afresh by _split_quad, cold and warm,
+    # from just above the floor -2 sqrt(c), where the inner panel gives up
+    # and the memo replays its MaxDepthExceeded with the same message
+    subcritical._sigma_inner_panel.cache_clear()
+    floor = -2.0 * math.sqrt(C)
+    failed = 0
+    for b1 in [floor + 1e-12, floor + 1e-6, -1.3, -1.0, 0.5, 40.0] * 2:
+        h = subcritical._sigma_integrand(b1, C)
+        try:
+            want = subcritical._split_quad(h, math.sqrt(x), C, subcritical._EQ_QUAD_TOL)
+        except MaxDepthExceeded as err:
+            with pytest.raises(MaxDepthExceeded) as info:
+                _bl_sigma_lhs(x, b1, C)
+            assert info.value.args == err.args
+            failed += 1
+        else:
+            assert _bl_sigma_lhs(x, b1, C) == want
+    assert failed >= 2
+    assert subcritical._sigma_inner_panel.cache_info().hits == 6
+
+
+def test_inner_panel_domain_error_not_kept() -> None:
+    # b1 below the floor: the sqrt of a negative Q raises on every call and
+    # leaves nothing in the memo
+    subcritical._sigma_inner_panel.cache_clear()
+    for _ in range(2):
+        with pytest.raises(FloatingPointError):
+            _bl_sigma_lhs(2.0, -3.0, C)
+    info = subcritical._sigma_inner_panel.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+def test_inner_panel_memo_is_bounded() -> None:
+    subcritical._sigma_inner_panel.cache_clear()
+    size = subcritical._INNER_PANEL_MEMO_SIZE
+    for b1 in np.linspace(0.5, 50.0, size + 8).tolist():
+        _bl_sigma_lhs(2.5, b1, C)
+    info = subcritical._sigma_inner_panel.cache_info()
+    assert info.misses == size + 8
+    assert info.currsize == size
 
 
 # ---------------------------------------------------------------------------
