@@ -51,7 +51,9 @@ class InvalidInput(PSQError, ValueError):
     scale of a log density) outside the formula's sign range, a Delta that
     is not finite, a negative mode index, or an unknown regime kind; for the
     rho > 1 asymptotics an xi outside (0, 1], a tau out of its sign range, a
-    negative mode index, or a state index outside 0..N-1; for the special
+    negative mode index, a state index outside 0..N-1, or a tail constant
+    asked for at a state that is not a nonnegative integer or at a rho that
+    is not finite; for the special
     functions a Hermite index outside [0, 200], a loop-series index outside
     [0, 500], a negative harmonic index, or a rho outside (0, 1) for the
     transition-layer integral."""
@@ -95,6 +97,13 @@ class CurveSingularity(PSQError):
 
 class ScaleGap(PSQError):
     """Spatial index falls between asymptotic scale validity windows."""
+
+
+class TailConstantOverflow(PSQError):
+    """The constant C of the rho > 1 algebraic corner tail C t^(-alpha0) is
+    not a finite double, for rho between 1 and about 1.0162, where
+    alpha0 = rho / (rho - 1) passes 62; log C, the tail and its truncation
+    time stay finite there."""
 
 
 # -- implicit-equation solvers -------------------------------------------------

@@ -53,7 +53,7 @@ from .errors import (
     TransformOverflow,
 )
 from .specfun import cut_integral, loop_series_Q_log, tanh_sinh
-from .supercritical import algebraic_tail_constant
+from .supercritical import algebraic_tail_log_constant
 
 _BRANCH_TOL = 1e-10
 _VIETA_TOL = 1e-12
@@ -262,10 +262,10 @@ def tail_asym_infinite(n: int, t: float, rho: float) -> LogDensityApprox:
     if not 0.0 < rho < math.inf:
         raise InvalidInput(f"rho must be positive and finite, got {rho}")
     if rho >= 1.0:
-        alpha0 = rho / (rho - 1.0)
-        const = algebraic_tail_constant(n, rho)
+        # log C first: it raises NotSupercritical at rho = 1
+        log_const = algebraic_tail_log_constant(n, rho)
         return LogDensityApprox(
-            coeff_N=0.0, coeff_logN=-alpha0, coeff_O1=math.log(const)
+            coeff_N=0.0, coeff_logN=-rho / (rho - 1.0), coeff_O1=log_const
         )
     sq = math.sqrt(rho)
     stretch = 3.0 * 2.0 ** (-2.0 / 3.0) * math.pi ** (2.0 / 3.0) * rho ** (1.0 / 6.0)

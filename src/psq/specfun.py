@@ -52,8 +52,19 @@ through a memo that lives for one solve.  A solver that searches for the
 bracket itself (the boundary-layer and T2 equations in `subcritical`) puts
 its function behind functools.cache before the search, and the root finder
 reads that same memo: the bracket ends, Brent's first calls there and the
-residual check at the root cost no second quadrature.  No memo outlives its
-solve, so repeating a solve repeats its work.
+residual check at the root cost no second quadrature.  No root memo
+outlives its solve, so repeating a solve repeats its work.
+
+Those solvers look for the upper bracket end on a ladder of rungs, each
+twice as far from the equation's floor as the last, and take the first
+rung where the function is negative.  Rather than climb the ladder a rung
+at a time (30-40 rungs, one quadrature each, at the layer's smallest
+times), `subcritical._first_negative_rung` guesses the rung from the
+equation's large-argument form, corrects the guess once from the value
+found there, then gallops and bisects over the rung index.  The function's
+sign changes once along the ladder, so the search ends on the rung the
+climb would have reached, and Brent gets the same bracket and returns the
+same root, bit for bit.
 
 The Brent iteration is a line-for-line port of scipy's C `brentq`
 (scipy/optimize/Zeros/brentq.c, after Brent 1973, Algorithms for
@@ -387,8 +398,8 @@ def _brentq(
 _T_MAX = 4.0
 # an array integrand gets levels 0-5 (257 nodes) in its first call, then one
 # call per deeper level; a scalar one gets one level at a time.  Of the
-# 9922 calls in a seed-1 asym_surface pass (the second in its process),
-# 95% stop at level 5 or below (64% below it) and 9 give up at max_depth;
+# 6892 calls in a seed-1 asym_surface pass (the second in its process),
+# 93% stop at level 5 or below (65% below it) and 4 give up at max_depth;
 # one call per level made the pass 2.5 times slower
 _FIRST_BATCH_LAST_LEVEL = 5
 

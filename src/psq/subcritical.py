@@ -17,7 +17,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -501,6 +503,75 @@ def t1_evaluate(pt: XiTauPoint, params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
+# upper bracket ends on a doubling ladder
+# ---------------------------------------------------------------------------
+
+
+def _first_negative_rung(
+    g: Callable[[float], float],
+    first: float,
+    floor: float,
+    count: int,
+    failure: Callable[[], str],
+    guess: int = 0,
+    extrapolate: Callable[[float, float], int] | None = None,
+) -> float:
+    """The first rung b with g(b) < 0 of the ladder that starts at `first`
+    and puts each of its `count` rungs twice as far from `floor` as the
+    last, as a walk up the ladder finds it.
+
+    g's finite values along the ladder must change sign at most once, from
+    not negative to negative, as an equation decreasing in its unknown
+    does; a non-finite value (a solve's sentinel for a quadrature that gave
+    up) counts as not negative, as in the walk.  The search probes rung
+    `guess`, then the rung `extrapolate(b, g(b))` predicts from that value,
+    then gallops from the nearest decided rung and bisects until it holds k
+    with g(rung k) < 0 and k = 0 or g(rung k - 1) >= 0: about
+    2 log2(count) + 2 evaluations at most.  A finite g(rung k - 1) puts
+    every finite value below it on the same side, so k is the walk's
+    answer; where it is not finite the search walks the ladder from rung 0
+    instead (its callers memoise g, so rungs already probed cost nothing).
+    The rungs are built by the walk's float expression, so they are the
+    walk's to the bit.  No negative rung raises BracketFailure with the
+    message failure() returns.
+    """
+    rungs = [first]
+    lo, hi = -1, count  # last rung seen not negative, first seen negative
+    lo_value = math.nan
+    k = min(max(guess, 0), count - 1)
+    step = 1
+    while True:
+        while len(rungs) <= k:
+            rungs.append(floor + (rungs[-1] - floor) * 2.0)
+        value = g(rungs[k])
+        if value < 0.0:
+            hi = k
+        else:
+            lo, lo_value = k, value
+        if hi - lo == 1:
+            break
+        if extrapolate is not None:
+            k, extrapolate = extrapolate(rungs[k], value), None
+            if lo < k < hi:
+                continue
+        if hi == count:  # gallop up
+            k = min(lo + step, count - 1)
+            step *= 2
+        elif lo == -1:  # gallop down
+            k = max(hi - step, 0)
+            step *= 2
+        else:
+            k = (lo + hi) // 2
+    if lo >= 0 and not math.isfinite(lo_value):
+        while len(rungs) < count:
+            rungs.append(floor + (rungs[-1] - floor) * 2.0)
+        hi = next((k for k, b in enumerate(rungs) if g(b) < 0.0), count)
+    if hi == count:
+        raise BracketFailure(failure())
+    return rungs[hi]
+
+
+# ---------------------------------------------------------------------------
 # transition T2
 # ---------------------------------------------------------------------------
 
@@ -608,13 +679,14 @@ def t2_solve_A(delta: float, rho: float) -> float:
         raise BracketFailure(f"no positive bracket end near the floor for Delta={delta}")
     if math.isinf(g_lo):
         raise BracketFailure(f"the root is within rounding of the floor for Delta={delta}")
-    hi = max(1.0, rho * c * c * delta * delta + 4.0)
-    for _ in range(60):
-        if gap(hi) < 0.0:
-            break
-        hi = floor + (hi - floor) * 2.0
-    else:
-        raise BracketFailure(f"no negative bracket end for Delta={delta}")
+    # upper end: the first negative rung of a doubling ladder from the seed
+    hi = _first_negative_rung(
+        gap,
+        max(1.0, rho * c * c * delta * delta + 4.0),
+        floor,
+        60,
+        lambda: f"no negative bracket end for Delta={delta}",
+    )
     return find_root_bracketed(gap, lo, hi, tol=_ROOT_RESIDUAL_TOL)
 
 
@@ -706,11 +778,10 @@ def _sigma_integrand(b1: float, c: float):
     return h
 
 
-# distinct (b1, c, rel_tol) inner panels kept.  A D1/D2 solve at x > v* asks
-# for 17-50 of them; every solve at its rho shares the left-end walk's 6-7
-# (all but the last give up at max_depth) and the upper end's first steps.
-# Solves at one rho keep their shared panels in; five to fifteen solves at
-# other rho values push them out
+# distinct (b1, c, rel_tol) inner panels kept.  Only the left-end walk of a
+# D1/D2 solve at x > v* asks for them: 6-7 b1 values a rho (all but the last
+# give up at max_depth), the same for every solve at that rho, so the memo
+# holds the walks of 36 or more rho values and no solve's own b1 values
 _INNER_PANEL_MEMO_SIZE = 256
 
 
@@ -726,17 +797,18 @@ def _sigma_inner_panel(b1: float, c: float, rel_tol: float) -> float | MaxDepthE
         return MaxDepthExceeded(*err.args)
 
 
-def _bl_sigma_lhs(x: float, b1: float, c: float, rel_tol: float = _EQ_QUAD_TOL) -> float:
+def _bl_sigma_lhs(
+    x: float, b1: float, c: float, rel_tol: float = _EQ_QUAD_TOL, shared: bool = False
+) -> float:
     # integral of [c v + 1/v + b1]^(-1/2) over (0, x), via v = w^2.  Past the
-    # knot the inner panel is a pure function of (b1, c, rel_tol), so its
-    # memo returns the bits (or the failure) of the same quadrature run
-    # afresh, and adding 0 + inner + outer is the order _split_quad's sum()
-    # takes.  Every solve at one rho with x > v* walks its left end through
-    # the same b1 values, whose inner panels give up at max_depth
+    # knot the inner panel is a pure function of (b1, c, rel_tol); with
+    # shared set it comes from _sigma_inner_panel's memo, which returns the
+    # bits (or the failure) of the same quadrature run afresh, and adding
+    # 0 + inner + outer is the order _split_quad's sum() takes
     upper_w = math.sqrt(x)
     w_mid = c**-0.25
     h = _sigma_integrand(b1, c)
-    if upper_w <= w_mid:
+    if not shared or upper_w <= w_mid:
         return _split_quad(h, upper_w, c, rel_tol)
     inner = _sigma_inner_panel(b1, c, rel_tol)
     if isinstance(inner, MaxDepthExceeded):
@@ -800,15 +872,18 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
     target = 2.0 * math.sqrt(rho) * sigma
     vstar = c**-0.5
     # for x >= v* the floor, and with it the left-end walk's b1 values and
-    # the inner panels (0, c^(-1/4)) they need, depend on rho alone: the
-    # panels come from _bl_sigma_lhs's memo after the first such solve, with
-    # the bits a fresh quadrature gives
+    # the inner panels (0, c^(-1/4)) they need, depend on rho alone: the walk
+    # takes those panels from _bl_sigma_lhs's shared memo, with the bits a
+    # fresh quadrature gives.  The rungs' and Brent's b1 values belong to
+    # this solve alone and integrate both panels afresh, leaving the memo
+    # to the walks
     floor = -2.0 * math.sqrt(c) if x >= vstar else -(c * x + 1.0 / x)
+    walking = True
 
     @functools.cache  # one memo for the bracket search and the root solve
     def g(b1: float) -> float:
         try:
-            return _bl_sigma_lhs(x, b1, c) - target
+            return _bl_sigma_lhs(x, b1, c, _EQ_QUAD_TOL, walking) - target
         except MaxDepthExceeded:
             return math.inf
 
@@ -831,13 +906,33 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
         raise RootNotBracketed(
             f"layer equation has no solution on this branch at x={x}, sigma={sigma}"
         )
-    hi = floor + span
-    for _ in range(200):
-        if g(hi) < 0.0:
-            break
-        hi = floor + (hi - floor) * 2.0
-    else:
-        raise BracketFailure(f"upper bracket end not found at x={x}, sigma={sigma}")
+    walking = False
+    # upper end: the first negative rung of the ladder floor + span 2^k
+    # (k < 200).  At small sigma the root is 1e8-1e10 and that rung is the
+    # 30th-40th.  lhs ~ x / sqrt(b1 - floor) overstates the left side, so the
+    # first rung it puts below the target is the answer or one above it;
+    # the search starts a rung lower, where the value found, scaled the same
+    # way, then names the answer, and gallops and bisects only if it is wrong
+    count = 200
+
+    def first_rung_under(scale: float) -> int:
+        # the first k where scale / sqrt(span 2^k), about the rung's
+        # scale / sqrt(b1 - floor), is below the target
+        return bisect_left(
+            range(count), True, key=lambda k: scale < target * math.sqrt(span * 2.0**k)
+        )
+
+    hi = _first_negative_rung(
+        g,
+        floor + span,
+        floor,
+        count,
+        lambda: f"upper bracket end not found at x={x}, sigma={sigma}",
+        guess=first_rung_under(x) - 1,
+        extrapolate=lambda b1, value: first_rung_under(
+            (value + target) * math.sqrt(b1 - floor)
+        ),
+    )
     return find_root_bracketed(g, lo, hi, tol=_ROOT_RESIDUAL_TOL)
 
 

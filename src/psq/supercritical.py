@@ -17,11 +17,21 @@ xi + Delta_*(tau) > 0.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
-from .errors import IndexTooLarge, InvalidInput, NotSupercritical, OutOfRegion
+from .errors import (
+    IndexTooLarge,
+    InvalidInput,
+    NotSupercritical,
+    OutOfRegion,
+    TailConstantOverflow,
+)
 from .exact import ModelParams, Regime, build_generator, spectral_decompose
 from .specfun import cut_integral, harmonic
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _require_supercritical(params: ModelParams) -> None:
@@ -153,18 +163,48 @@ def small_n_scale_super(n: int, tau: float, params: ModelParams) -> float:
     return prefactor * loop
 
 
-def algebraic_tail_constant(n: int, rho: float) -> float:
-    """Constant C in the N-free algebraic tail p_n(t) ~ C t^(-alpha0).
+def algebraic_tail_log_constant(n: int, rho: float) -> float:
+    """log C of the N-free algebraic tail p_n(t) ~ C t^(-alpha0).
 
     Small-tau limit of the n = O(1) range formula: the population cancels
     against (rho tau)^(-alpha0), leaving the infinite-model tail that the
-    corner module quotes for rho > 1.
+    corner module quotes for rho > 1.  With alpha0 = rho / (rho - 1),
+
+        log C = (2 alpha0 - 1) log alpha0 + lgamma(alpha0)
+                - alpha0 log rho + log loop,
+
+    where loop is the order-n loop integral of `cut_integral`.  In this form
+    it stays finite as rho falls to 1, where alpha0 grows without bound and
+    C itself leaves double range.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise InvalidInput(f"n must be a nonnegative integer, got {n}")
+    if not rho < math.inf:
+        raise InvalidInput(f"rho must be finite, got {rho}")
     if rho <= 1.0:
         raise NotSupercritical(f"algebraic tail requires rho > 1, got {rho}")
     alpha0 = rho / (rho - 1.0)
     loop = float(cut_integral(n, alpha0, 1.0 / rho, 1.0)[n])
-    return alpha0 ** (2.0 * alpha0 - 1.0) * math.gamma(alpha0) * rho**-alpha0 * loop
+    return (
+        (2.0 * alpha0 - 1.0) * math.log(alpha0)
+        + math.lgamma(alpha0)
+        - alpha0 * math.log(rho)
+        + math.log(loop)
+    )
+
+
+def algebraic_tail_constant(n: int, rho: float) -> float:
+    """Constant C in the N-free algebraic tail p_n(t) ~ C t^(-alpha0): the
+    exponential of `algebraic_tail_log_constant`.  Raises
+    TailConstantOverflow where C leaves double range, for rho between 1 and
+    about 1.0162."""
+    log_c = algebraic_tail_log_constant(n, rho)
+    if not log_c <= _LOG_DOUBLE_MAX:
+        raise TailConstantOverflow(
+            f"algebraic tail constant exp({log_c:.6g}) at n={n}, rho={rho} "
+            "leaves double range"
+        )
+    return math.exp(log_c)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
-from psq.errors import BranchCollision, InvalidInput, TransformOverflow
+from psq.errors import (
+    BranchCollision,
+    InvalidInput,
+    NotSupercritical,
+    PSQError,
+    TailConstantOverflow,
+    TransformOverflow,
+)
 from psq.infinite import (
     TransformPoint,
     invert_density,
@@ -19,7 +26,7 @@ from psq.infinite import (
     transform_phat,
 )
 from psq.specfun import loop_series_Q_log
-from psq.supercritical import algebraic_tail_constant
+from psq.supercritical import algebraic_tail_constant, algebraic_tail_log_constant
 
 
 # --- independent transform oracle ---
@@ -328,6 +335,17 @@ def test_tail_supercritical_constant_closed_form() -> None:
         assert abs(algebraic_tail_constant(n, 2.0) - (n + 2.0)) < 1e-10
 
 
+def _loop_sum_mp(n: int, rho: mp.mpf, alpha0: mp.mpf) -> mp.mpf:
+    """The order-n loop integral of the algebraic tail as its binomial sum,
+    at the working mpmath precision."""
+    return mp.fsum(
+        mp.rf(alpha0, i) / mp.factorial(i)
+        * mp.rf(1 - alpha0, n - i) / mp.factorial(n - i)
+        * rho ** (i - n)
+        for i in range(n + 1)
+    )
+
+
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_tail_supercritical_constant_near_critical(n: int) -> None:
     # at rho = 1.05, alpha0 = 21: the loop sum's binomial terms alternate and
@@ -335,15 +353,62 @@ def test_tail_supercritical_constant_near_critical(n: int) -> None:
     rho = mp.mpf("1.05")
     alpha0 = rho / (rho - 1)
     with mp.workdps(60):
-        loop = mp.fsum(
-            mp.rf(alpha0, i) / mp.factorial(i)
-            * mp.rf(1 - alpha0, n - i) / mp.factorial(n - i)
-            * rho ** (i - n)
-            for i in range(n + 1)
-        )
+        loop = _loop_sum_mp(n, rho, alpha0)
         want = alpha0 ** (2 * alpha0 - 1) * mp.gamma(alpha0) * rho**-alpha0 * loop
     got = algebraic_tail_constant(n, 1.05)
     assert abs(got / float(want) - 1.0) <= 1e-12
+
+
+def _tail_log_constant_mp(n: int, rho: float) -> mp.mpf:
+    """log C at the double rho in 40 digits (the alternating loop sum
+    leaves plenty after its cancellation)."""
+    with mp.workdps(40):
+        rho = mp.mpf(rho)
+        alpha0 = rho / (rho - 1)
+        return (
+            (2 * alpha0 - 1) * mp.log(alpha0)
+            + mp.loggamma(alpha0)
+            - alpha0 * mp.log(rho)
+            + mp.log(_loop_sum_mp(n, rho, alpha0))
+        )
+
+
+@pytest.mark.parametrize("rho", [1.001, 1.01, 1.015, 1.05])
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_tail_log_constant_near_critical(n: int, rho: float) -> None:
+    # alpha0 = 1000 at rho = 1.001: C = exp(19736) has no double, log C does
+    want = _tail_log_constant_mp(n, rho)
+    got = algebraic_tail_log_constant(n, rho)
+    assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+    tail = tail_asym_infinite(n, 20.0, rho)
+    assert tail.coeff_O1 == got
+    assert tail.coeff_logN == -rho / (rho - 1.0)
+    # t = (C (rho - 1) / mass_bound)^(rho - 1), finite though C is not
+    with mp.workdps(40):
+        gap = mp.mpf(rho) - 1
+        want_t = mp.exp(gap * (want + mp.log(gap) - mp.log(mp.mpf(1e-6))))
+    assert tail_truncation_time(n, rho, 1e-6) == pytest.approx(float(want_t), rel=1e-13)
+
+
+@pytest.mark.parametrize("rho", [1.001, 1.01, 1.015])
+def test_tail_constant_out_of_double_range(rho: float) -> None:
+    # the linear constant itself overflows below rho of about 1.0162
+    with pytest.raises(TailConstantOverflow, match="leaves double range") as info:
+        algebraic_tail_constant(2, rho)
+    assert isinstance(info.value, PSQError)
+
+
+def test_tail_supercritical_guards() -> None:
+    # neither tail holds at rho = 1 (alpha0 = rho / (rho - 1) divided by
+    # zero); a negative or fractional state reached cut_integral's indexing
+    with pytest.raises(NotSupercritical):
+        tail_asym_infinite(2, 20.0, 1.0)
+    for n in (-1, 2.5):
+        with pytest.raises(InvalidInput):
+            tail_asym_infinite(n, 20.0, 2.0)
+    for rho in (math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            algebraic_tail_log_constant(1, rho)
 
 
 def test_tail_supercritical_slots() -> None:

@@ -14,9 +14,12 @@ quadrature it replaced.
 
 Also here: `classify` gives every (n, t) one label (a hypothesis property
 test); each root solve evaluates its layer equation once per distinct
-argument; the bounded memo of the layer equation's inner panel gives the
-bits of a fresh quadrature, replays its MaxDepthExceeded and spares later
-solves at one rho their left-end walk; bad caller input raises
+argument; the upper bracket end's ladder search returns the rung a
+rung-by-rung walk finds (a hypothesis property test) in few evaluations,
+and the layer roots keep their recorded bits; the bounded memo of the
+layer equation's inner panel gives the bits of a fresh quadrature, replays
+its MaxDepthExceeded, spares later solves at one rho their left-end walk
+and holds nothing but the walks; bad caller input raises
 InvalidInput; the eigenvalue expansion converges to the exact spectrum at
 its predicted order; and the seams and defects that ROADMAP items 2 and 3
 are to mend stand as strict xfails.
@@ -24,13 +27,14 @@ are to mend stand as strict xfails.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from psq import subcritical
@@ -303,6 +307,130 @@ def test_root_memo_lives_for_one_solve(monkeypatch) -> None:
     assert sum(seen.values()) == 2 * calls
 
 
+@pytest.mark.parametrize(
+    "rho, x, sigma, most",
+    [
+        # tiny sigma: the root b1 is 3e9 and 8e9, the 32nd and 34th rung; a
+        # rung-by-rung climb evaluated the layer equation 48 and 47 times
+        (0.25, 1.777, 3.154e-5, 20),
+        (0.75, 3.645, 2.29e-5, 20),
+        # the root is rung 0 or close to it: no more than the climb's 22
+        (0.25, 2.045, 8.97, 22),
+    ],
+)
+def test_layer_root_solve_finds_the_bracket_in_few_evaluations(
+    monkeypatch, rho, x, sigma, most
+) -> None:
+    seen = _counting(monkeypatch, "_bl_sigma_lhs")
+    _solve_b1_direct(x, sigma, rho, 1.0 - math.sqrt(rho))
+    assert sum(seen.values()) <= most
+
+
+# D1/D2 roots b1 and D3 roots alpha over rho in {0.25, 0.75}, x on both
+# sides of v* = c^(-1/2) and sigma in [1e-5, 10] (each D2 sigma between its
+# two curves), recorded as float hex from the rung-by-rung bracket search
+LAYER_ROOTS = [
+    (0.25, 0.3, 1e-05, "D1", "0x1.ad2745ef6c153p+29"),
+    (0.25, 0.3, 0.01, "D1", "0x1.b7d96c55aff15p+9"),
+    (0.25, 0.3, 1.0, "D3", "0x1.f9a6b57d26552p-2"),
+    (0.25, 0.3, 10.0, "D3", "0x1.573081ca3351dp+0"),
+    (0.25, 1.273, 1e-05, "D1", "0x1.e2f48cfe5c5d3p+33"),
+    (0.25, 1.273, 0.01, "D1", "0x1.fa26e445539c9p+13"),
+    (0.25, 1.273, 1.0, "D1", "-0x1.1db91f1465c98p-1"),
+    (0.25, 1.273, 10.0, "D3", "0x1.61c6c90d368d8p+0"),
+    (0.25, 1.838, 1e-05, "D1", "0x1.f765c80c74771p+34"),
+    (0.25, 1.838, 0.01, "D1", "0x1.07df87a2a803ap+15"),
+    (0.25, 1.838, 1.0, "D1", "0x1.3dfdf98254a85p+0"),
+    (0.25, 1.838, 10.0, "D1", "-0x1.69ae3a12b36f5p+0"),
+    (0.25, 0.3, 0.1819, "D2", "-0x1.8f4533eeb07e7p+1"),
+    (0.25, 0.9, 1.267, "D2", "-0x1.88805c0ede4bcp+0"),
+    (0.25, 1.273, 3.394, "D2", "-0x1.6ba81803f2ce2p+0"),
+    (0.75, 0.3, 1e-05, "D1", "0x1.1e1a2c1a42459p+28"),
+    (0.75, 0.3, 0.01, "D1", "0x1.1b23bc49d0d7cp+8"),
+    (0.75, 0.3, 1.0, "D3", "0x1.6342dc7de17e0p-1"),
+    (0.75, 0.3, 10.0, "D3", "0x1.2a2059fed1b1ap+1"),
+    (0.75, 2.459, 1e-05, "D1", "0x1.2c57865ec04d9p+34"),
+    (0.75, 2.459, 0.01, "D1", "0x1.3adb89833905dp+14"),
+    (0.75, 2.459, 1.0, "D1", "0x1.62234f0227531p-1"),
+    (0.75, 2.459, 10.0, "D3", "0x1.480b92afaa6f9p+1"),
+    (0.75, 3.552, 1e-05, "D1", "0x1.3956d7ff0d1a5p+35"),
+    (0.75, 3.552, 0.01, "D1", "0x1.4887f52c1f159p+15"),
+    (0.75, 3.552, 1.0, "D1", "0x1.783f403e6d4f8p+1"),
+    (0.75, 3.552, 10.0, "D1", "-0x1.7389e388fcaf3p-1"),
+    (0.75, 0.3, 0.1007, "D2", "-0x1.75db8085fd6f5p+1"),
+    (0.75, 0.9, 0.5786, "D2", "-0x1.2433ba2adc61fp+0"),
+    (0.75, 2.459, 5.259, "D2", "-0x1.787cefea877b4p-1"),
+]
+
+
+@pytest.mark.parametrize("rho, x, sigma, region, root", LAYER_ROOTS)
+def test_layer_roots_pinned(rho, x, sigma, region, root) -> None:
+    c = 1.0 - math.sqrt(rho)
+    assert subcritical._xsigma_region(x, sigma, rho) == region
+    solve = _solve_alpha_d3 if region == "D3" else _solve_b1_direct
+    assert solve(x, sigma, rho, c) == float.fromhex(root)
+
+
+@st.composite
+def _ladders(draw):
+    """Ladder values: a leading run of +inf (quadratures that gave up), then
+    finite values >= 0, then negative ones, any run possibly empty, and
+    perhaps one more +inf among the negative ones; a guess and an
+    extrapolated index that may lie anywhere, even off the ladder."""
+    infs, nonneg, neg = (draw(st.integers(0, 70)) for _ in range(3))
+    finite = st.floats(0.0, 1e6)
+    values = (
+        [math.inf] * infs
+        + [draw(finite) for _ in range(nonneg)]
+        + [-draw(finite.filter(bool)) for _ in range(neg)]
+    )
+    assume(values)
+    if neg and draw(st.booleans()):
+        values[infs + nonneg + draw(st.integers(0, neg - 1))] = math.inf
+    reach = st.integers(-3, len(values) + 3)
+    predicted = draw(st.none() | reach)
+    return values, draw(reach), predicted
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(_ladders())
+def test_first_negative_rung_matches_the_walk(ladder) -> None:
+    values, guess, predicted = ladder
+    # the ladder 0, 1, 3, 7, ...: each rung twice as far from -1 as the last
+    rungs = [0.0]
+    while len(rungs) < len(values):
+        rungs.append(-1.0 + (rungs[-1] + 1.0) * 2.0)
+    index = {b: k for k, b in enumerate(rungs)}
+    calls: Counter = Counter()
+
+    @functools.cache
+    def g(b: float) -> float:
+        calls[b] += 1
+        return values[index[b]]
+
+    def search() -> float:
+        return subcritical._first_negative_rung(
+            g, 0.0, -1.0, len(values), lambda: "no rung", guess, extrapolate
+        )
+
+    extrapolate = None if predicted is None else lambda b, value: predicted
+    walk = next((k for k, v in enumerate(values) if v < 0.0), None)
+    if walk is None:
+        with pytest.raises(BracketFailure) as info:
+            search()
+        assert info.value.args == ("no rung",)
+    else:
+        assert search() == rungs[walk]
+    # a finite value below the crossing (or at the top rung) settles it in
+    # the bisection's budget; where the search may have seen a +inf there,
+    # it walks the ladder up to the walk's rung again
+    last = walk if walk is not None else len(values)
+    budget = 2.0 * math.log2(len(values)) + 3.0
+    if math.inf in values[max(last - 1, 0) :]:
+        budget += last + 1
+    assert len(calls) <= budget
+
+
 def _counting_depth_fails(monkeypatch) -> list:
     """Count the quadratures of subcritical.tanh_sinh that give up at max_depth."""
     fails = [0]
@@ -335,25 +463,46 @@ def test_inner_panel_shared_between_solves(monkeypatch) -> None:
     assert first != second
 
 
+def test_inner_panel_memo_holds_only_the_walk() -> None:
+    # the rungs' and Brent's b1 values belong to one solve each and bypass
+    # the memo, so a later solve at the same rho adds nothing to it and
+    # cannot push out another rho's walk
+    subcritical._sigma_inner_panel.cache_clear()
+    _solve_b1_direct(2.045, 8.97, PARAMS.rho, C)
+    walk = subcritical._sigma_inner_panel.cache_info()
+    assert 0 < walk.currsize <= 8
+    _solve_b1_direct(3.0, 1e-3, PARAMS.rho, C)
+    _solve_b1_direct(1.777, 3.154e-5, PARAMS.rho, C)
+    info = subcritical._sigma_inner_panel.cache_info()
+    assert info.currsize == walk.currsize
+    assert info.misses == walk.misses
+
+
 @pytest.mark.parametrize("x", [2.0, 2.5, 3.0])
 def test_inner_panel_memo_keeps_the_bits(x) -> None:
     # against both panels integrated afresh by _split_quad, cold and warm,
     # from just above the floor -2 sqrt(c), where the inner panel gives up
-    # and the memo replays its MaxDepthExceeded with the same message
+    # and the memo replays its MaxDepthExceeded with the same message; the
+    # unshared form gives the same bits and leaves the memo alone
     subcritical._sigma_inner_panel.cache_clear()
     floor = -2.0 * math.sqrt(C)
     failed = 0
     for b1 in [floor + 1e-12, floor + 1e-6, -1.3, -1.0, 0.5, 40.0] * 2:
         h = subcritical._sigma_integrand(b1, C)
+        before = subcritical._sigma_inner_panel.cache_info()
         try:
             want = subcritical._split_quad(h, math.sqrt(x), C, subcritical._EQ_QUAD_TOL)
         except MaxDepthExceeded as err:
-            with pytest.raises(MaxDepthExceeded) as info:
-                _bl_sigma_lhs(x, b1, C)
-            assert info.value.args == err.args
+            for shared in (True, False):
+                with pytest.raises(MaxDepthExceeded) as info:
+                    _bl_sigma_lhs(x, b1, C, shared=shared)
+                assert info.value.args == err.args
             failed += 1
         else:
+            assert _bl_sigma_lhs(x, b1, C, shared=True) == want
             assert _bl_sigma_lhs(x, b1, C) == want
+        after = subcritical._sigma_inner_panel.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
     assert failed >= 2
     assert subcritical._sigma_inner_panel.cache_info().hits == 6
 
@@ -364,7 +513,7 @@ def test_inner_panel_domain_error_not_kept() -> None:
     subcritical._sigma_inner_panel.cache_clear()
     for _ in range(2):
         with pytest.raises(FloatingPointError):
-            _bl_sigma_lhs(2.0, -3.0, C)
+            _bl_sigma_lhs(2.0, -3.0, C, shared=True)
     info = subcritical._sigma_inner_panel.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
@@ -373,7 +522,7 @@ def test_inner_panel_memo_is_bounded() -> None:
     subcritical._sigma_inner_panel.cache_clear()
     size = subcritical._INNER_PANEL_MEMO_SIZE
     for b1 in np.linspace(0.5, 50.0, size + 8).tolist():
-        _bl_sigma_lhs(2.5, b1, C)
+        _bl_sigma_lhs(2.5, b1, C, shared=True)
     info = subcritical._sigma_inner_panel.cache_info()
     assert info.misses == size + 8
     assert info.currsize == size
