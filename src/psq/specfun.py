@@ -8,6 +8,8 @@ loop_series_Q          the loop integral (1/2pi i) oint z^(-n-1) (1-z)^(-1) e^(1
 cut_integral           branch-cut loop integrals of orders 0..n by their recurrence
 parabolic_cylinder_H   the transition-layer integral H(Delta_1)
 harmonic               harmonic numbers
+find_root_newton       safeguarded Newton in log(x - floor) for equations whose
+                       value and derivative come in closed form
 find_root_bracketed    Brent root finding on a sign-changing bracket, by a port
                        of scipy's C brentq that gives its roots bit for bit
 tanh_sinh / quad_to_infinity   quadrature kernels
@@ -47,18 +49,28 @@ has no scalar form to match, so it may use numpy's pow, exp and log.
 
 Root solves
 -----------
-find_root_bracketed evaluates its function once per distinct argument,
-through a memo that lives for one solve.  A solver that searches for the
-bracket itself (the boundary-layer and T2 equations in `subcritical`) puts
-its function behind functools.cache before the search, and the root finder
-reads that same memo: the bracket ends, Brent's first calls there and the
-residual check at the root cost no second quadrature.  No root memo
-outlives its solve, so repeating a solve repeats its work.
+An equation whose left side and its derivative come in closed form, from
+one AGM, is solved by find_root_newton: the T2 layer equation and the
+fixed-n boundary layer on the sigma scale in `subcritical`.  Each caller
+starts from an analytic seed, within 0.1 of the root in the Newton
+variable log(x - floor), so a solve takes 1-5 evaluations of the AGM, and
+the last of them also gives the quantities the caller needs at the root.
+The sign bracket and its bisection only guard against a step that leaves
+it; neither end is evaluated.
 
-Those solvers look for the upper bracket end on a ladder of rungs, each
-twice as far from the equation's floor as the last, and take the first
-rung where the function is negative.  Rather than climb the ladder a rung
-at a time (30-40 rungs, one quadrature each, at the layer's smallest
+The D1/D2/D3 boundary-layer equations are still integrated by quadrature
+and solved by find_root_bracketed, which evaluates its function once per
+distinct argument, through a memo that lives for one solve.  A solver
+that searches for the bracket itself puts its function behind
+functools.cache before the search, and the root finder reads that same
+memo: the bracket ends, Brent's first calls there and the residual check
+at the root cost no second quadrature.  No root memo outlives its solve,
+so repeating a solve repeats its work.
+
+The D1/D2 solver looks for the upper bracket end on a ladder of rungs,
+each twice as far from the equation's floor as the last, and takes the
+first rung where the function is negative.  Rather than climb the ladder a
+rung at a time (30-40 rungs, one quadrature each, at the layer's smallest
 times), `subcritical._first_negative_rung` guesses the rung from the
 equation's large-argument form, corrects the guess once from the value
 found there, then gallops and bisects over the rung index.  The function's
@@ -95,6 +107,7 @@ from .errors import (
 )
 
 _PI_OVER_2 = math.pi / 2.0
+_EPS = 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +116,16 @@ _PI_OVER_2 = math.pi / 2.0
 
 @dataclass(frozen=True)
 class EllipticPair:
-    """Complete elliptic integrals of the first and second kind at modulus k."""
+    """Complete elliptic integrals of the first and second kind at modulus k.
+
+    tail is the AGM sum r = sum_{n>=1} 2^(n-1) c_n^2 without its n = 0 term
+    k^2 / 2, so that E = K (1 - k^2/2 - r); r = O(k^4), which lets a caller
+    form K - E or (1 + k^2) E - (1 - k^2) K without the cancellation.
+    """
 
     K: float
     E: float
+    tail: float
 
 
 def elliptic_KE(k: float) -> EllipticPair:
@@ -121,15 +140,18 @@ def elliptic_KE(k: float) -> EllipticPair:
     a = 1.0
     b = math.sqrt(1.0 - k * k)
     c_sum = 0.5 * k * k  # 2^(-1) * c_0^2
+    tail = 0.0  # the same sum from n = 1, added up on its own
     pow2 = 1.0
     while abs(a - b) >= 1e-15:
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c_sum += pow2 * c * c
+        term = pow2 * c * c
+        c_sum += term
+        tail += term
         pow2 *= 2.0
     K = math.pi / (2.0 * a)
     E = K * (1.0 - c_sum)
-    return EllipticPair(K=K, E=E)
+    return EllipticPair(K=K, E=E, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +413,87 @@ def _brentq(
 
 
 # ---------------------------------------------------------------------------
+# safeguarded Newton
+# ---------------------------------------------------------------------------
+
+# an iterate that moves x by at most this many ulps of x (or of the floor,
+# which sets the rounding of floor + (x - floor) e^step) ends the iteration
+_NEWTON_ULPS = 4.0
+# a Newton step this short in log(x - floor) lands within about C * 2^-52 of
+# the root, C = |f'' / 2 f'| in that variable, so its landing point is final
+_NEWTON_LAST_STEP = 2.0**-26
+# evaluations before a solve gives up; the layer equations take 1-5, and a
+# bracket halved this many times in log(x - floor) is narrow anyway
+_NEWTON_MAX_EVALUATIONS = 40
+
+
+def find_root_newton(
+    fdf: Callable[[float], tuple],
+    x: float,
+    lo: float,
+    hi: float,
+    tol: float,
+    *,
+    floor: float,
+    rising: bool,
+) -> tuple[float, tuple]:
+    """A root of f on (lo, hi) by Newton steps from x, kept in a sign bracket.
+
+    fdf(x) returns a tuple (f(x), f'(x), ...) whose tail is whatever the
+    caller wants back at the root.  Newton steps in u = log(x - floor), in
+    which an equation with a logarithmic end at `floor`, or a power law
+    above it, is nearly linear: u <- u - f / (f' (x - floor)).  f must change
+    sign once on (lo, hi), floor < lo, from negative to positive if
+    `rising`, else from positive to negative; the ends are the limits that
+    say so and are never evaluated.  A seed x outside [lo, hi] is moved to
+    the nearer end; each value narrows the bracket, and an iterate outside
+    it is replaced by the bracket's midpoint in u.
+
+    The iteration stops when an iterate would move x by at most 4 ulps of
+    max(|x|, |floor|), when it lands after a step shorter than 2^-26 in u
+    (quadratic convergence puts it within rounding of the root), when no
+    double is left strictly inside the bracket, or after 40 evaluations.
+    It returns (x, fdf(x)) for the point with the smallest |f| evaluated,
+    and raises BracketFailure where that |f| exceeds tol or f is nan.
+    """
+    x = min(max(x, lo), hi)
+    best_x, best = x, None
+    last = False
+    for _ in range(_NEWTON_MAX_EVALUATIONS):
+        out = fdf(x)
+        fx, dfx = out[0], out[1]
+        if math.isnan(fx):
+            raise BracketFailure(f"f({x}) is nan")
+        if best is None or abs(fx) < abs(best[0]):
+            best_x, best = x, out
+        if fx == 0.0 or last:
+            break
+        if (fx < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        span = x - floor
+        slope = dfx * span  # df / du
+        step = -fx / slope if slope else math.nan
+        x_next = floor + span * math.exp(min(step, 700.0))
+        if abs(x_next - x) <= _NEWTON_ULPS * _EPS * max(abs(x), abs(floor)):
+            break
+        last = abs(step) <= _NEWTON_LAST_STEP
+        if not lo < x_next < hi:  # also a nan step
+            x_next = floor + math.sqrt((lo - floor) * (hi - floor))
+            last = False
+            if not lo < x_next < hi:
+                break
+        x = x_next
+    residual = abs(best[0])
+    if residual > tol:
+        raise BracketFailure(
+            f"root at {best_x} leaves |f| = {residual:.3e} > tol = {tol:.3e}"
+        )
+    return best_x, best
+
+
+# ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
@@ -398,7 +501,7 @@ def _brentq(
 _T_MAX = 4.0
 # an array integrand gets levels 0-5 (257 nodes) in its first call, then one
 # call per deeper level; a scalar one gets one level at a time.  Of the
-# 6892 calls in a seed-1 asym_surface pass (the second in its process),
+# 6780 calls in a seed-1 asym_surface pass (the second in its process),
 # 93% stop at level 5 or below (65% below it) and 4 give up at max_depth;
 # one call per level made the pass 2.5 times slower
 _FIRST_BATCH_LAST_LEVEL = 5

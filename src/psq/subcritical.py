@@ -30,7 +30,6 @@ from .errors import (
     IndexTooLarge,
     InvalidInput,
     MaxDepthExceeded,
-    NoSignChange,
     NotSubcritical,
     OutOfRegion,
     RootNotBracketed,
@@ -38,9 +37,11 @@ from .errors import (
 )
 from .exact import ModelParams
 from .specfun import (
+    EllipticPair,
     elementwise,
     elliptic_KE,
     find_root_bracketed,
+    find_root_newton,
     hermite_He,
     loop_series_Q_log,
     parabolic_cylinder_H,
@@ -643,51 +644,84 @@ def _t2_integrals(a_val: float, c: float) -> tuple[float, float, float]:
     return gap, 2.0 * math.pi / (3.0 * m), pref
 
 
-def t2_solve_A(delta: float, rho: float) -> float:
-    """Coefficient a(Delta) of the T2 layer equation, by bracketed root find.
+# the scaled T2 equation G(A) = tau, with A = a / sqrt(c), G = c^(3/4) gap
+# and tau = c^(3/4) * 2 sqrt(rho) Delta, depends on no parameter: its seeds
+# come from the expansions of G next to the floor A = -2 and for large A
+_T2_FLOOR_CONSTANT = math.log(64.0) - 4.0
 
-    The left side, the closed-form gap of `_t2_integrals` (no quadrature),
-    decreases from +inf (as a drops to -2 sqrt(1-sqrt(rho))) to -inf, so a
-    bracket always exists; seeds come from the known deep asymptotics on
-    both sides.  The reach in Delta is set by the root solve's residual
-    check: at large Delta the root sits so close to the floor that no double
-    meets it, and BracketFailure is raised from Delta of about 18.5 at
-    rho = 0.25 and 24.5 at rho = 0.75.
+
+def _t2_seed_log_eps(tau: float) -> float:
+    """log(A + 2) near the root of the scaled T2 equation G(A) = tau.
+
+    Next to the floor, G = L - log(eps) + O(eps log eps) with eps = A + 2 and
+    L = log 64 - 4; G = L - log(eps (1 + eps)) keeps within 0.013 of the root
+    in log(eps) for tau >= -1.5.  For large A, G = -2 sqrt(A) - (log(4A) -
+    3/2) / A^(3/2) + ..., and one step of that from A = tau^2 / 4 keeps
+    within 0.05 for tau <= -3.  Both overstate the root from tau = -1 down,
+    so the smaller is the better there: within 0.1 everywhere.
     """
+    log_eps = math.inf
+    if tau > -30.0:
+        q = math.exp(_T2_FLOOR_CONSTANT - tau)
+        # eps (1 + eps) = q, in a form that neither cancels nor underflows
+        log_eps = (
+            _T2_FLOOR_CONSTANT - tau + math.log(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * q)))
+        )
+    if tau < -2.0:
+        big = 0.25 * tau * tau
+        big = (0.5 * (-tau - (math.log(4.0 * big) - 1.5) / big**1.5)) ** 2
+        log_eps = min(log_eps, math.log(big + 2.0))
+    return log_eps
+
+
+def _t2_root(delta: float, rho: float) -> tuple[float, float, float]:
+    """a(Delta) of the T2 layer equation with the decay and prefactor
+    integrals of `_t2_integrals` at it; see `t2_solve_A`."""
     _require_subcritical(rho)
     if not math.isfinite(delta):
         raise InvalidInput(f"Delta must be finite, got {delta}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
-    floor = -2.0 * math.sqrt(c)
+    rt_c = math.sqrt(c)
+    floor = -2.0 * rt_c
     target = 2.0 * sr * delta
+    tau = c**0.75 * target
 
-    @functools.cache  # one memo for the bracket search and the root solve
-    def gap(a_val: float) -> float:
-        return _t2_integrals(a_val, c)[0] - target
+    def fdf(a_val: float) -> tuple[float, float, float, float]:
+        # d gap / d a = -pref / 2: differentiate under the integral
+        gap, decay, pref = _t2_integrals(a_val, c)
+        return gap - target, -0.5 * pref, decay, pref
 
-    # lower end: approach the floor until the left side exceeds the target
-    seed = 64.0 * math.sqrt(c) * math.exp(-4.0 - 2.0 * sr * c**0.75 * max(delta, 0.0))
-    lo = floor + min(1e-5, 0.05 * seed)
-    g_lo = gap(lo)
-    shrink = 0
-    while g_lo <= 0.0 and shrink < 10:
-        lo = floor + (lo - floor) * 1e-2
-        g_lo = gap(lo)
-        shrink += 1
-    if g_lo <= 0.0:
-        raise BracketFailure(f"no positive bracket end near the floor for Delta={delta}")
-    if math.isinf(g_lo):
-        raise BracketFailure(f"the root is within rounding of the floor for Delta={delta}")
-    # upper end: the first negative rung of a doubling ladder from the seed
-    hi = _first_negative_rung(
-        gap,
-        max(1.0, rho * c * c * delta * delta + 4.0),
-        floor,
-        60,
-        lambda: f"no negative bracket end for Delta={delta}",
+    # the gap is +inf at the floor and falls to -inf, nearly linearly in
+    # log(a - floor) next to it; the ends are the first double above the
+    # floor and a point past every representable root
+    a_val, (_, _, decay, pref) = find_root_newton(
+        fdf,
+        floor + rt_c * math.exp(_t2_seed_log_eps(tau)),
+        math.nextafter(floor, math.inf),
+        floor + 2.0**1000,
+        _ROOT_RESIDUAL_TOL,
+        floor=floor,
+        rising=False,
     )
-    return find_root_bracketed(gap, lo, hi, tol=_ROOT_RESIDUAL_TOL)
+    return a_val, decay, pref
+
+
+def t2_solve_A(delta: float, rho: float) -> float:
+    """Coefficient a(Delta) of the T2 layer equation, by safeguarded Newton.
+
+    The left side, the closed-form gap of `_t2_integrals` (no quadrature),
+    decreases from +inf (as a drops to -2 sqrt(1-sqrt(rho))) to -inf, and
+    it is nearly linear in log(a - floor) next to the floor, so Newton steps
+    in that log, from the seed of `_t2_seed_log_eps`, with the derivative
+    -pref/2 that the same AGM gives: 2-5 evaluations, mostly 3 or 4, for
+    Delta in [-15, 18] and rho in [0.05, 0.95].  The reach in Delta is set
+    by the residual check: at large Delta the root sits so close to the
+    floor that no double meets it, and BracketFailure is raised, first at
+    Delta of about 22 at rho = 0.25 and 31.5 at rho = 0.75, and at some
+    Delta up to about 29.7 and 44.4, past which it always is.
+    """
+    return _t2_root(delta, rho)[0]
 
 
 def t2_evaluate(
@@ -695,11 +729,12 @@ def t2_evaluate(
 ) -> tuple[T2State, LogDensityApprox]:
     """T2 layer density at spatial xi and stretched time Delta.
 
-    No quadrature: a comes from `t2_solve_A` and the decay and prefactor
-    integrals are the closed forms of `_t2_integrals`.  The reach in Delta
-    is set by that root solve's residual check (BracketFailure from Delta of
-    about 18.5 at rho = 0.25 and 24.5 at rho = 0.75), not by the integrals.
-    Beyond |Delta| of about 8 the neighbouring R2/R3 forms are better anyway.
+    No quadrature: a comes from the Newton solve of `t2_solve_A`, whose
+    evaluation of `_t2_integrals` at the root also gives the decay and
+    prefactor integrals.  The reach in Delta is set by that root solve's
+    residual check (BracketFailure from Delta of about 22 at rho = 0.25 and
+    31.5 at rho = 0.75), not by the integrals.  Beyond |Delta| of about 8
+    the neighbouring R2/R3 forms are better anyway.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -707,8 +742,7 @@ def t2_evaluate(
         raise InvalidInput(f"xi must be positive, got {xi}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
-    a_val = t2_solve_A(delta, rho)
-    _, decay, i3 = _t2_integrals(a_val, c)
+    a_val, decay, i3 = _t2_root(delta, rho)
     f_val = sr * a_val * delta / 3.0 - decay
     g0 = math.sqrt(2.0) * c**-1.25 * math.exp((1.0 + sr) / (2.0 * c)) * i3**-0.5
     small_r = math.sqrt(rho * xi * xi + 4.0 * xi * c)
@@ -1078,11 +1112,61 @@ def bl_xsigma_evaluate(
     return sol, approx
 
 
+def _bl_nsigma_seed_modulus(s: float) -> float:
+    """The modulus k near the root of (K(k) - E(k)) / sqrt(k) = s.
+
+    For small k, K - E = (pi/4) k^2 (1 + 3k^2/8 + 15k^4/64 + ...), and two
+    fixed-point steps from k = (4s/pi)^(2/3) keep within 0.023 of the root
+    in log k up to s = 0.55.  Next to k = 1 the left side is
+    log(4/k') - 1 - k'^2/4 + ..., k' = sqrt(1 - k^2), and one fixed-point
+    step keeps within 0.03 from s = 0.55 up.  Both overstate the root, so
+    Newton on the convex left side closes in from above.
+    """
+    if s <= 0.55:
+        k_lead = (4.0 * s / math.pi) ** (2.0 / 3.0)
+        k = k_lead
+        for _ in range(2):
+            k2 = k * k
+            k = k_lead * (1.0 + k2 * (0.375 + 0.234375 * k2)) ** (-2.0 / 3.0)
+        return k
+    kp = 4.0 * math.exp(-1.0 - s)
+    kp *= math.exp(-0.25 * kp * kp)
+    return math.sqrt((1.0 - kp) * (1.0 + kp))
+
+
+def _bl_eta_closed_form(alpha: float, c: float, pair: EllipticPair) -> float:
+    """The integral of sqrt(c v + 1/v + b1) over (0, alpha) at the layer
+    root, b1 = -(c alpha + 1/alpha), from `pair` = elliptic_KE(sqrt(c) alpha).
+
+    With beta = 1/(c alpha) the integrand is sqrt(c (alpha - v)(beta - v) / v),
+    and the integral is 2 sqrt(alpha) / (3 k^2) ((1 + k^2) E - (1 - k^2) K)
+    at k^2 = c alpha^2.  That difference cancels at small k; with
+    E = K (1 - k^2/2 - r), r the AGM tail, it is
+    K k^2 (3/2 - k^2/2 - (1 + k^2) r / k^2), whose terms do not.
+    """
+    k2 = c * alpha * alpha
+    tail_ratio = pair.tail / k2 if pair.tail else 0.0
+    bracket = 0.5 - k2 / 6.0 - (1.0 + k2) * tail_ratio / 3.0
+    return 2.0 * math.sqrt(alpha) * pair.K * bracket
+
+
 def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityApprox:
     """Boundary-layer density at fixed n and t = sigma N^(3/4).
 
-    The layer coefficient solves a closed elliptic equation; raises
-    RootNotBracketed when sigma is too large for the bracket (0, vstar).
+    The layer root alpha solves a closed elliptic equation,
+    2 sqrt(beta / c) (K(k) - E(k)) = sqrt(rho) sigma with beta = 1/(c alpha)
+    and k = sqrt(c) alpha, which depends on sigma alone through
+    s = sqrt(rho) sigma c^(3/4) / 2 = (K - E) / sqrt(k).  Newton steps in
+    log alpha from the seed of `_bl_nsigma_seed_modulus`, with
+    d(K - E)/dk = k E / (1 - k^2), and the eta integral is the closed form
+    of the same AGM, so no quadrature is run.
+
+    Raises RootNotBracketed when sigma is too large for the bracket
+    (0, vstar (1 - 1e-12)), from sigma of 93.5 at rho = 0.25 and 144.5 at
+    rho = 0.75.  Below that, from sigma of about 40 and 62, the root sits so
+    close to vstar that at some sigma no double meets the residual check,
+    and BracketFailure is raised there; it is also raised below sigma of
+    about 1e-194, where the prefactor underflows.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -1092,29 +1176,49 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
         raise InvalidInput(f"sigma must be positive, got {sigma}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
+    rt_c = math.sqrt(c)
     vstar = c**-0.5
     target = sr * sigma
 
-    def g(alpha: float) -> float:
-        beta = 1.0 / (c * alpha)
-        pair = elliptic_KE(math.sqrt(c) * alpha)
-        return 2.0 * math.sqrt(beta / c) * (pair.K - pair.E) - target
-
-    try:
-        alpha = find_root_bracketed(
-            g, 1e-12, vstar * (1.0 - 1e-12), tol=_ROOT_RESIDUAL_TOL
+    def fdf(alpha: float) -> tuple[float, float, EllipticPair]:
+        # with beta = 1/(c alpha) and K - E = K k^2 (1/2 + r/k^2), r the AGM
+        # tail, the left side is 2 K (1/2 + r/k^2) alpha^(3/2), and
+        # d(K - E)/dk = k E / (1 - k^2) makes its derivative
+        # sqrt(alpha) (2E / (1 - k^2) - K (1/2 + r/k^2)): nothing cancels at
+        # small k
+        k = rt_c * alpha
+        pair = elliptic_KE(k)
+        tail_ratio = pair.tail / (k * k) if pair.tail else 0.0
+        k_minus_e_per_k2 = pair.K * (0.5 + tail_ratio)
+        root_alpha = math.sqrt(alpha)
+        lhs = 2.0 * k_minus_e_per_k2 * alpha * root_alpha
+        slope = root_alpha * (
+            2.0 * pair.E / ((1.0 - k) * (1.0 + k)) - k_minus_e_per_k2
         )
-    except NoSignChange as exc:
-        raise RootNotBracketed(
-            f"layer equation not bracketed for sigma={sigma}"
-        ) from exc
+        return lhs - target, slope, pair
+
+    # the left side rises from 0 at alpha = 0 to +inf at vstar, as a function
+    # of s alone; past s = 5 the root may lie above the bracket's upper end,
+    # where s is 13.86, and the value there decides whether it does
+    s = 0.5 * target * c**0.75
+    hi = vstar * (1.0 - 1e-12)
+    if s > 5.0 and fdf(hi)[0] < 0.0:
+        raise RootNotBracketed(f"layer equation not bracketed for sigma={sigma}")
+    alpha, (_, _, pair) = find_root_newton(
+        fdf,
+        _bl_nsigma_seed_modulus(s) / rt_c,
+        math.nextafter(0.0, 1.0),
+        hi,
+        _ROOT_RESIDUAL_TOL,
+        floor=0.0,
+        rising=True,
+    )
     b1 = -(c * alpha + 1.0 / alpha)
     disc = b1 * b1 - 4.0 * c
-    pair = elliptic_KE(math.sqrt(c) * alpha)
     gamma_star = -2.0 * sr * sigma / math.sqrt(disc) + 8.0 * math.sqrt(alpha) * pair.E / disc
     if gamma_star <= 0.0:
         raise BracketFailure(f"prefactor degenerated at sigma={sigma}")
-    combo = sr * sigma * b1 - 2.0 * _bl_eta_integral(alpha, b1, c)
+    combo = sr * sigma * b1 - 2.0 * _bl_eta_closed_form(alpha, c, pair)
     coeff_o1 = (
         math.log(2.0 * math.sqrt(2.0 * math.pi))
         - math.log(c)

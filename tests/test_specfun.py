@@ -20,6 +20,7 @@ from psq.specfun import (
     elementwise,
     elliptic_KE,
     find_root_bracketed,
+    find_root_newton,
     harmonic,
     hermite_He,
     loop_series_Q,
@@ -271,6 +272,67 @@ def test_root_residual_check() -> None:
 
     with pytest.raises(BracketFailure):
         find_root_bracketed(step, 0.0, 1.0)
+
+
+def _log_line(floor: float, root: float, calls: list):
+    # f = log((x - floor) / (root - floor)), linear in log(x - floor)
+    def fdf(x: float) -> tuple:
+        calls.append(x)
+        return math.log((x - floor) / (root - floor)), 1.0 / (x - floor), 2.0 * x
+
+    return fdf
+
+
+def test_newton_steps_in_log_of_the_distance_from_the_floor() -> None:
+    # f is linear in the Newton variable, so the first step lands on the
+    # root and the second finds nothing left to do; the tail comes back
+    # from the evaluation at the root
+    calls: list = []
+    x, out = find_root_newton(
+        _log_line(-2.0, 1e-3, calls), 50.0, -1.999, 1e6, 1e-12, floor=-2.0, rising=True
+    )
+    assert x == pytest.approx(1e-3, rel=1e-15)
+    assert out == (pytest.approx(0.0, abs=1e-15), 1.0 / (x + 2.0), 2.0 * x)
+    assert len(calls) == 2
+
+
+def test_newton_bisects_when_a_step_leaves_the_bracket() -> None:
+    # a slope of the wrong sign sends every Newton step out of the bracket,
+    # so the solve halves the bracket in log x instead, and still converges
+    calls: list = []
+
+    def fdf(x: float) -> tuple:
+        calls.append(x)
+        return x - 0.3, -1.0
+
+    x, _ = find_root_newton(fdf, 0.5, 0.01, 1.0, 1e-9, floor=0.0, rising=True)
+    assert x == pytest.approx(0.3, abs=1e-9)
+    assert all(0.01 < v < 1.0 for v in calls)
+
+
+def test_newton_seed_outside_the_bracket_moves_to_its_end() -> None:
+    calls: list = []
+    x, _ = find_root_newton(
+        _log_line(0.0, 2.0, calls), 1e9, 0.5, 8.0, 1e-12, floor=0.0, rising=True
+    )
+    assert calls[0] == 8.0
+    assert x == pytest.approx(2.0, rel=1e-15)
+
+
+def test_newton_residual_check() -> None:
+    # a step function has no point where |f| <= tol
+    def step(x: float) -> tuple:
+        return (-1.0 if x < 0.5 else 1.0), 1.0
+
+    with pytest.raises(BracketFailure):
+        find_root_newton(step, 0.9, 0.01, 1.0, 1e-10, floor=0.0, rising=True)
+
+
+def test_newton_refuses_nan() -> None:
+    with pytest.raises(BracketFailure, match="nan"):
+        find_root_newton(
+            lambda x: (math.nan, 1.0), 0.5, 0.1, 1.0, 1e-10, floor=0.0, rising=True
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ The T2 layer integrals are closed forms (one AGM with forward derivatives),
 checked against 30-digit mpmath quadrature, against their exact values at
 the double root a = 2 sqrt(c), and for their divergence at the floor
 a = -2 sqrt(c); `t2_evaluate` is checked against values recorded from the
-quadrature it replaced.
+quadrature it replaced.  The T2 and fixed-n sigma-layer equations are solved
+by Newton on their closed forms: the derivatives they use are checked
+against 40-digit mpmath, the closed-form eta integral against the
+quadrature and 50-digit mpmath, each solve's residual and AGM count over
+the parameter range by a hypothesis property test, and both run with the
+Brent, ladder and quadrature kernels made to raise.
 
 Also here: `classify` gives every (n, t) one label (a hypothesis property
 test); each root solve evaluates its layer equation once per distinct
@@ -27,9 +32,12 @@ are to mend stand as strict xfails.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import Counter
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -44,13 +52,15 @@ from psq.errors import (
     InvalidInput,
     MaxDepthExceeded,
     PSQError,
+    RootNotBracketed,
 )
 from psq.exact import ModelParams, build_generator
 from psq.infinite import tail_asym_infinite
-from psq.specfun import find_root_bracketed
+from psq.specfun import elliptic_KE, find_root_bracketed
 from psq.subcritical import (
     LogDensityApprox,
     RegimeLabel,
+    _bl_eta_closed_form,
     _bl_eta_integral,
     _bl_gamma_integral,
     _bl_sigma_lhs,
@@ -650,6 +660,160 @@ def test_eigen_asym_next_term_is_order_n_to_minus_three_halves() -> None:
     e3, e4, e5 = _scaled_eigen_errors(0.75, 0)
     assert e5 < e4 < e3 < 0.0
     assert 0.5 <= (e5 - e4) / (e4 - e3) <= 0.75
+
+
+# ---------------------------------------------------------------------------
+# Newton solves of the closed-form layer equations (T2, BL_nsigma)
+# ---------------------------------------------------------------------------
+
+
+def _mp_t2_f0(a, c):
+    # F0(a, c) = pi / AGM(x0, c^(1/4)) = 2 K(m) / x0, m = 1 - sqrt(c) / x0^2
+    x0 = mp.sqrt((a + 2 * mp.sqrt(c)) / 4)
+    return 2 * mp.ellipk(1 - mp.sqrt(c) / x0**2) / x0
+
+
+def _t2_derivative_cases():
+    for rho in (0.25, 0.75):
+        c = 1.0 - math.sqrt(rho)
+        floor = -2.0 * math.sqrt(c)
+        for a_val in (floor + 1e-9, floor + 1e-6, floor + 1e-3, -0.3, 0.7, 5.0):
+            yield pytest.param(a_val, c, id=f"rho{rho}-a{a_val:.10g}")
+
+
+@pytest.mark.parametrize("a_val, c", list(_t2_derivative_cases()))
+def test_t2_gap_derivative_is_minus_half_pref(a_val, c) -> None:
+    # gap = 4 F0_a + 2 a F0_c, so d gap / da = 4 F0_aa + 2 F0_c + 2 a F0_ac,
+    # by 40-digit differentiation of the elliptic form of F0.  The float code
+    # places a against the floor with the rounded sqrt(c); the reference is
+    # taken at the point that offset stands for, which next to the floor
+    # differs from the double a by more than the identity's error
+    with mp.workdps(40):
+        c_mp = mp.mpf(c)
+        a = mp.mpf(a_val) + 2 * (mp.mpf(math.sqrt(c)) - mp.sqrt(c_mp))
+        f_aa = mp.diff(_mp_t2_f0, (a, c_mp), (2, 0))
+        f_c = mp.diff(_mp_t2_f0, (a, c_mp), (0, 1))
+        f_ac = mp.diff(_mp_t2_f0, (a, c_mp), (1, 1))
+        want = float(4 * f_aa + 2 * f_c + 2 * a * f_ac)
+    assert -0.5 * _t2_integrals(a_val, c)[2] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1e-4, 0.3, 0.9, 1.0 - 1e-9])
+def test_k_minus_e_derivative(k) -> None:
+    # d(K - E)/dk = k E / (1 - k^2), the slope of the sigma-layer equation
+    pair = elliptic_KE(k)
+    got = k * pair.E / ((1.0 - k) * (1.0 + k))
+    with mp.workdps(40):
+        want = mp.diff(lambda q: mp.ellipk(q * q) - mp.ellipe(q * q), mp.mpf(k))
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.75])
+@pytest.mark.parametrize(
+    "fraction", [1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6]
+)
+def test_bl_eta_closed_form(rho, fraction) -> None:
+    # alpha = fraction * v*, against the quadrature it replaced and 50-digit
+    # mpmath; at small k the textbook (1 + k^2) E - (1 - k^2) K cancels
+    # (1.4e-9 relative at fraction 1e-4), which the AGM tail avoids
+    c = 1.0 - math.sqrt(rho)
+    alpha = fraction * c**-0.5
+    b1 = -(c * alpha + 1.0 / alpha)
+    closed = _bl_eta_closed_form(alpha, c, elliptic_KE(math.sqrt(c) * alpha))
+    assert closed == pytest.approx(_bl_eta_integral(alpha, b1, c), rel=1e-14, abs=0.0)
+    with mp.workdps(50):
+        a_mp, c_mp = mp.mpf(alpha), mp.mpf(c)
+        beta = 1 / (c_mp * a_mp)
+        want = mp.quad(
+            lambda v: mp.sqrt(c_mp * (a_mp - v) * (beta - v) / v), [0, a_mp / 2, a_mp]
+        )
+    assert closed == pytest.approx(float(want), rel=4e-15, abs=0.0)
+
+
+@contextlib.contextmanager
+def _counted_solves(name: str):
+    """Count the calls of subcritical.<name> and record what
+    subcritical.find_root_newton returns, inside the with block."""
+    seen = SimpleNamespace(calls=0, roots=[])
+    inner, solve = getattr(subcritical, name), subcritical.find_root_newton
+
+    def counted(*args):
+        seen.calls += 1
+        return inner(*args)
+
+    def recorded(*args, **kwargs):
+        seen.roots.append(solve(*args, **kwargs))
+        return seen.roots[-1]
+
+    with mock.patch.object(subcritical, name, counted), mock.patch.object(
+        subcritical, "find_root_newton", recorded
+    ):
+        yield seen
+
+
+# the whole range lies inside the reach: tau = 2 sqrt(rho) c^(3/4) Delta stays
+# below 10.9, where BracketFailure sets in from tau of about 13, so every
+# solve must succeed
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(-15.0, 18.0), st.floats(0.05, 0.95))
+def test_t2_solve_meets_its_residual_in_few_evaluations(delta, rho) -> None:
+    with _counted_solves("_t2_integrals") as seen:
+        a_val = t2_solve_A(delta, rho)
+    assert seen.calls <= 10
+    ((root, (residual, *_)),) = seen.roots
+    assert root == a_val
+    assert abs(residual) <= subcritical._ROOT_RESIDUAL_TOL
+    target = 2.0 * math.sqrt(rho) * delta
+    assert _t2_integrals(a_val, 1.0 - math.sqrt(rho))[0] - target == residual
+
+
+# sigma of the surface's BL_nsigma points at N = 10^6, t in (8, 4 N^(3/4)]:
+# far below the reach (sigma of 40 and up), so every solve must succeed
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(math.log(8.0 * 10**-4.5), math.log(4.0)), st.floats(0.05, 0.95))
+def test_bl_nsigma_solve_meets_its_residual_in_few_evaluations(log_sigma, rho) -> None:
+    params = ModelParams(10**6, rho)
+    with _counted_solves("elliptic_KE") as seen:
+        approx = bl_nsigma_evaluate(3, math.exp(log_sigma), params)
+    assert seen.calls <= 10
+    ((alpha, (residual, *_)),) = seen.roots
+    assert abs(residual) <= subcritical._ROOT_RESIDUAL_TOL
+    assert 0.0 < alpha < (1.0 - math.sqrt(rho)) ** -0.5
+    assert math.isfinite(approx.log_value(params.population))
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.75])
+def test_closed_form_layers_past_their_reach(rho) -> None:
+    # the documented errors, never a raw one: T2's root within rounding of
+    # the floor or past double range, sigma above the bracket's upper end,
+    # and a sigma so small that the prefactor underflows
+    for delta in (50.0, 1e3, 1e300, -1e300):
+        with pytest.raises(BracketFailure):
+            t2_solve_A(delta, rho)
+    params = ModelParams(10**6, rho)
+    for sigma in (200.0, 1e300, math.inf):
+        with pytest.raises(RootNotBracketed):
+            bl_nsigma_evaluate(3, sigma, params)
+    for sigma in (5e-324, 1e-300):
+        with pytest.raises(BracketFailure):
+            bl_nsigma_evaluate(3, sigma, params)
+
+
+def test_closed_form_layers_run_no_bracket_search_or_quadrature(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("not on a closed-form path")
+
+    for name in ("find_root_bracketed", "_first_negative_rung", "tanh_sinh"):
+        monkeypatch.setattr(subcritical, name, refuse)
+    for delta in (-8.0, 0.0, 4.0, 15.0):
+        _, approx = t2_evaluate(0.3, delta, PARAMS)
+        assert math.isfinite(approx.log_value(PARAMS.population))
+    for sigma in (3e-4, 0.05, 1.0, 4.0):
+        approx = bl_nsigma_evaluate(3, sigma, PARAMS)
+        assert math.isfinite(approx.log_value(PARAMS.population))
+    # the D1/D2/D3 layer still goes through them
+    with pytest.raises(AssertionError, match="closed-form"):
+        bl_xsigma_evaluate(0.5, 0.05, PARAMS)
 
 
 # ---------------------------------------------------------------------------
