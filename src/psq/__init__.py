@@ -10,7 +10,6 @@ from .exact import (
     SpectralDecomposition,
     build_generator,
     closed_form_small_N,
-    conditional_density_exact,
     conditional_density_exact_log,
     integrate_ode,
     orthogonality_residual,
@@ -19,9 +18,7 @@ from .exact import (
     spectral_decompose,
     spectral_trajectory,
     steady_state_log_weights,
-    steady_state_weights,
     time_integral_residual,
-    unconditional_density_exact,
     unconditional_density_exact_log,
     unit_mass_residual,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "SpectralDecomposition",
     "build_generator",
     "closed_form_small_N",
-    "conditional_density_exact",
     "conditional_density_exact_log",
     "integrate_ode",
     "orthogonality_residual",
@@ -45,9 +41,7 @@ __all__ = [
     "spectral_decompose",
     "spectral_trajectory",
     "steady_state_log_weights",
-    "steady_state_weights",
     "time_integral_residual",
-    "unconditional_density_exact",
     "unconditional_density_exact_log",
     "unit_mass_residual",
     "__version__",

@@ -58,8 +58,3 @@ class LogDensityApprox:
             + self.coeff_logN * math.log(scale)
             + self.coeff_O1
         )
-
-    def value(self, scale: float) -> float:
-        """Represented density; may underflow to zero, never overflows for
-        the decaying approximations this package produces."""
-        return math.exp(self.log_value(scale))

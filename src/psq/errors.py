@@ -5,6 +5,11 @@ distinguish numerical-contract violations from programming errors.  A few
 subclasses are also ValueErrors (InvalidInput, NegativeDensity,
 SearchExhausted), for callers that caught the ValueError those checks once
 raised.
+
+Where a quantity can leave double range (the exact densities, the rho > 1
+corner-tail constant, the rho < 1 eigenvector entries), it is returned as
+its log, with a sign where it can be negative, and no error stands for the
+overflow of its plain value.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ class DegenerateSpectrum(PSQError):
 
 
 class NegativeDensity(PSQError, ValueError):
-    """A density came out negative beyond round-off: a balanced mode sum
-    (conditional_density_exact) or a tabulated trajectory (integrate_ode,
-    spectral_trajectory) below -1e-12, or an oracle mode sum that is not
-    positive (oracle_conditional_log)."""
+    """A density came out negative beyond round-off: a tabulated trajectory
+    (integrate_ode, spectral_trajectory) below -1e-12, or an oracle mode sum
+    that is not positive (oracle_conditional_log).  The log-form mode sum
+    conditional_density_exact_log reports a negative sum by its sign
+    instead."""
 
 
 class StepTooLarge(PSQError):
@@ -97,13 +103,6 @@ class CurveSingularity(PSQError):
 
 class ScaleGap(PSQError):
     """Spatial index falls between asymptotic scale validity windows."""
-
-
-class TailConstantOverflow(PSQError):
-    """The constant C of the rho > 1 algebraic corner tail C t^(-alpha0) is
-    not a finite double, for rho between 1 and about 1.0162, where
-    alpha0 = rho / (rho - 1) passes 62; log C, the tail and its truncation
-    time stay finite there."""
 
 
 # -- implicit-equation solvers -------------------------------------------------

@@ -93,7 +93,7 @@ class Generator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigen data of -A in the balanced form, plus arrival weights.
+    """Eigen data of -A in the balanced form.
 
     eigenvalues nu_j are ascending and positive.  Densities are evaluated
     through the balanced fields: sym_vectors holds the orthonormal
@@ -105,55 +105,19 @@ class SpectralDecomposition:
     uncond_coeffs d_j = beta_j^2.
 
     The classical basis phi_j (scaled so phi_j(0) = 1) and coefficients c_j
-    with c_j phi_j(n) = beta_j v_j(n) / D_n are not stored: their terms span
+    with c_j phi_j(n) = beta_j v_j(n) / D_n are not formed: their terms span
     enormous magnitude ranges (the exact expansion of the edge states
     cancels across 20+ decades) and no density is evaluated from them.
-    reporting_basis() builds them on demand.
+    Where a caller needs c_j, it is beta_j v_j(0) / D_0.
     """
 
     params: ModelParams
     eigenvalues: np.ndarray
     uncond_coeffs: np.ndarray
-    weights: np.ndarray
     sym_vectors: np.ndarray  # v[n, j], orthonormal columns
     sym_coeffs: np.ndarray  # beta_j = <v_j, D p(0)>
     scale: np.ndarray  # D_n
     log_scale: np.ndarray  # log D_n, finite even where D_n underflows
-
-    def reporting_basis(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """(phi, c, fallbacks): the classical eigenvectors phi[j, n] and
-        coefficients c_j, so that in exact algebra c_j phi_j(n) =
-        beta_j v_j(n) / D_n.
-
-        Row j is scaled so phi_j(0) = 1 where v_j(0) / D_0 is not negligible
-        against the row's largest finite entry (such a row keeps inf or nan
-        where D_n underflows to 0); otherwise (mode j listed in fallbacks)
-        the row's finite entries are scaled to unit norm and the others set
-        to 0.  For display and small-N checks only: it costs O(N^2) memory
-        and a Python loop over the N modes, so it is meant for small N.
-        """
-        n = self.params.population
-        vec, d, beta = self.sym_vectors, self.scale, self.sym_coeffs
-        phi = np.empty((n, n))
-        c = np.empty(n)
-        fallbacks = []
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for j in range(n):
-                col = vec[:, j] / d
-                head = col[0]
-                big = np.abs(col[np.isfinite(col)]).max() if np.isfinite(col).any() else math.inf
-                if abs(head) > big * 1e-292 and np.isfinite(big):
-                    phi[j] = col / head
-                    c[j] = beta[j] * head
-                else:
-                    # divide by big first: the norm of entries near 1e+290
-                    # would overflow and leave a zero row with c_j = inf
-                    fin = np.where(np.isfinite(col), col, 0.0) / big
-                    s = float(np.linalg.norm(fin))
-                    phi[j] = fin / s
-                    c[j] = beta[j] * big * s
-                    fallbacks.append(j)
-        return phi, c, tuple(fallbacks)
 
 
 @dataclass(frozen=True)
@@ -187,11 +151,6 @@ def steady_state_log_weights(params: ModelParams) -> np.ndarray:
     return logw - (m + math.log(np.exp(logw - m).sum()))
 
 
-def steady_state_weights(params: ModelParams) -> np.ndarray:
-    """Arrival-state weights pi_n; edge entries may underflow to zero."""
-    return np.exp(steady_state_log_weights(params))
-
-
 def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposition:
     """All eigenpairs of -A via the symmetrizing similarity transform.
 
@@ -207,7 +166,6 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
             f"generator dimension {n} does not match population {params.population}"
         )
     logw = steady_state_log_weights(params)
-    weights = np.exp(logw)
     off = np.sqrt(gen.sup * gen.sub)
     lam, vec = eigh_tridiagonal(gen.diag, off)
     # lam ascending (most negative first); nu_j = -lam reversed to ascending.
@@ -227,7 +185,6 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
         params=params,
         eigenvalues=nu,
         uncond_coeffs=d_coeff,
-        weights=weights,
         sym_vectors=vec,
         sym_coeffs=beta,
         scale=d,
@@ -247,29 +204,6 @@ def _check_state(spec: SpectralDecomposition, n: int) -> None:
         raise InvalidInput(
             f"state index {n!r} is not an integer in 0..{spec.params.population - 1}"
         )
-
-
-def conditional_density_exact(spec: SpectralDecomposition, n: int, t: float) -> float:
-    """p_n(t) via the balanced sum  (1/D_n) sum_j beta_j v_j(n) exp(-nu_j t).
-
-    Absolute error is of order eps / D_n: machine accurate for bulk states,
-    while edge states with exponentially small D_n sit below the double
-    round-off floor (use the log variant or the oracle there).  Raises
-    InvalidInput for a NaN or negative t or a state n outside 0..N-1, and
-    NegativeDensity when the weighted sum is below -1e-12.
-    """
-    _check_state(spec, n)
-    _check_time(t)
-    w = float(
-        (spec.sym_coeffs * spec.sym_vectors[n, :] * np.exp(-spec.eigenvalues * t)).sum()
-    )
-    if w < NEGATIVE_CLAMP:
-        raise NegativeDensity(
-            f"weighted density {w} below round-off clamp at (n={n}, t={t})"
-        )
-    if spec.scale[n] == 0.0:
-        return 0.0
-    return max(w, 0.0) / spec.scale[n]
 
 
 def conditional_density_exact_log(
@@ -293,14 +227,6 @@ def conditional_density_exact_log(
     if acc == 0.0:
         return 0, -math.inf
     return (1 if acc > 0 else -1), m + math.log(abs(acc)) - float(spec.log_scale[n])
-
-
-def unconditional_density_exact(spec: SpectralDecomposition, t: float) -> float:
-    """p(t) = sum_j beta_j^2 exp(-nu_j t); every term is nonnegative.
-
-    Raises InvalidInput for a NaN or negative t."""
-    _check_time(t)
-    return float((spec.uncond_coeffs * np.exp(-spec.eigenvalues * t)).sum())
 
 
 def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> float:

@@ -251,7 +251,7 @@ def invert_density(
 
 
 def tail_asym_infinite(n: int, t: float, rho: float) -> LogDensityApprox:
-    """Large-t corner tail; evaluate with .log_value(t) / .value(t).
+    """Large-t corner tail; evaluate with .log_value(t).
 
     rho < 1: stretched-exponential decay with a t^(1/3) term in the exponent
     and algebraic prefactor t^(-5/6).  rho > 1: pure algebraic tail
@@ -314,11 +314,12 @@ def tail_truncation_time(n: int, rho: float, mass_bound: float) -> float:
                 f"truncation time exp({log_t:.6g}) leaves double range {where}"
             )
         return math.exp(log_t)
-    decay = (1.0 - math.sqrt(rho)) ** 2
+    log_decay = math.log((1.0 - math.sqrt(rho)) ** 2)
+    log_bound = math.log(mass_bound)
     t = 20.0
     for _ in range(200):
-        remaining = approx.value(t) / decay
-        if remaining < mass_bound:
+        # remaining mass density(t) / decay, compared in log form
+        if approx.log_value(t) - log_decay < log_bound:
             return t
         t *= 1.3
     raise SearchExhausted(

@@ -1410,7 +1410,12 @@ def eigen_asym_sub(j: int, params: ModelParams) -> float:
 
 
 def spectral_coeff_asym_sub(j: int, params: ModelParams) -> LogDensityApprox:
-    """Expansion coefficient c_j in log form, for fixed j as N grows."""
+    """Expansion coefficient c_j in log form, for fixed j as N grows.
+
+    c_j goes with the eigenvector normalization phi_j(0) = Q(0) = e of
+    `eigvec_asym_sub`, so against the exact balanced data it is
+    beta_j v_j(0) / (D_0 Q(0)).
+    """
     rho = params.rho
     _require_subcritical(rho)
     big_n = params.population
@@ -1455,13 +1460,22 @@ def eigvec_shape_g(j: int, x: float, rho: float) -> float:
     )
 
 
-def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> float:
-    """Eigenvector entry phi_j(n) under the normalization phi_j(0) = Q(0).
+def _signed_log(log_mag: float, factor: float) -> tuple[int, float]:
+    """(sign, log|exp(log_mag) factor|); (0, -inf) where factor is zero."""
+    if factor == 0.0:
+        return 0, -math.inf
+    return (1 if factor > 0.0 else -1), log_mag + math.log(abs(factor))
+
+
+def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> tuple[int, float]:
+    """(sign, log|phi_j(n)|) for the eigenvector entry under the
+    normalization phi_j(0) = Q(0); sign 0 means the entry is zero.
 
     Four windows cover n: the O(1) corner, the Gaussian window around
     n = sqrt(N/(1 - sqrt(rho))), the x = n/sqrt(N) scale, and the
     xi = n/N scale; raises ScaleGap for points between windows.  Values
-    grow like rho^(-n/2), so large N with large n overflows a float.
+    grow like rho^(-n/2), past double range at large N and n, so only
+    their log is formed.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -1474,10 +1488,10 @@ def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> float:
     ln_rho = math.log(rho)
     if n <= _EIGVEC_CORNER_N:
         # leading order here is the same for every mode index
-        return math.exp(-0.5 * n * ln_rho + loop_series_Q_log(n))
+        return 1, -0.5 * n * ln_rho + loop_series_Q_log(n)
     sqrt_n = math.sqrt(big_n)
     z = (n - sqrt_n / math.sqrt(c)) * math.sqrt(2.0) * c**0.375 * big_n**-0.375
-    sign = -1.0 if j % 2 else 1.0
+    sign = -1 if j % 2 else 1
     if abs(z) <= _EIGVEC_Z_WINDOW:
         # normalization fixed by matching onto the x-scale form at the peak;
         # it carries (c/N)^((j+1)/8), which the direct Gaussian-window route
@@ -1494,7 +1508,7 @@ def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> float:
             )
             + (j + 1.0) / 8.0 * (math.log(c) - math.log(big_n))
         )
-        return sign * math.exp(ln_k0 - 0.5 * n * ln_rho - 0.25 * z * z) * hermite_He(j, z)
+        return _signed_log(ln_k0 - 0.5 * n * ln_rho - 0.25 * z * z, sign * hermite_He(j, z))
     ln_k1 = -0.125 * math.log(big_n) + 0.5 - math.log(2.0) - 0.5 * math.log(math.pi)
     xi = n / big_n
     if xi >= _EIGVEC_XI_MIN:
@@ -1519,15 +1533,15 @@ def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> float:
             + big_n**0.25 * (2.0 * j + 1.0) * c**0.75 / sr * lr_big
             + ln_shape
         )
-        return sign * math.exp(ln_val)
+        return sign, ln_val
     x = n / sqrt_n
     if x <= _EIGVEC_X_MAX:
-        bulk = math.exp(
+        ln_bulk = (
             ln_k1
             - 0.5 * n * ln_rho
             + big_n**0.25 * (2.0 * math.sqrt(x) - 2.0 / 3.0 * math.sqrt(c) * x**1.5)
         )
-        return bulk * eigvec_shape_g(j, x, rho)
+        return _signed_log(ln_bulk, eigvec_shape_g(j, x, rho))
     raise ScaleGap(
         f"n={n} falls between the asymptotic windows at N={big_n} (z={z:.3f}, "
         f"xi={xi:.4f}, x={x:.3f})"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,12 +25,9 @@ from .errors import (
     InvalidInput,
     NotSupercritical,
     OutOfRegion,
-    TailConstantOverflow,
 )
 from .exact import ModelParams, Regime, build_generator, spectral_decompose
 from .specfun import cut_integral, harmonic
-
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _require_supercritical(params: ModelParams) -> None:
@@ -191,20 +187,6 @@ def algebraic_tail_log_constant(n: int, rho: float) -> float:
         - alpha0 * math.log(rho)
         + math.log(loop)
     )
-
-
-def algebraic_tail_constant(n: int, rho: float) -> float:
-    """Constant C in the N-free algebraic tail p_n(t) ~ C t^(-alpha0): the
-    exponential of `algebraic_tail_log_constant`.  Raises
-    TailConstantOverflow where C leaves double range, for rho between 1 and
-    about 1.0162."""
-    log_c = algebraic_tail_log_constant(n, rho)
-    if not log_c <= _LOG_DOUBLE_MAX:
-        raise TailConstantOverflow(
-            f"algebraic tail constant exp({log_c:.6g}) at n={n}, rho={rho} "
-            "leaves double range"
-        )
-    return math.exp(log_c)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from psq.exact import (
     Generator,
     ModelParams,
     build_generator,
-    conditional_density_exact,
     integrate_ode,
     oracle_conditional_log,
     oracle_decompose,
@@ -42,7 +41,6 @@ from psq.exact import (
 from psq.specfun import (
     harmonic,
     hermite_He,
-    loop_series_Q,
     loop_series_Q_log,
     parabolic_cylinder_H,
 )
@@ -65,7 +63,7 @@ BAD_INPUT = {
     "eigen-index": lambda: eigen_asym_super(-1, SUPER),
     "large-rho-state": lambda: large_rho_spectrum(SUPER).phi0_correction(200),
     "hermite-index": lambda: hermite_He(201, 0.0),
-    "loop-series-index": lambda: loop_series_Q(-1),
+    "loop-series-index": lambda: loop_series_Q_log(-1),
     "loop-series-log-index": lambda: loop_series_Q_log(501),
     "harmonic-index": lambda: harmonic(-1),
     "parabolic-cylinder-rho": lambda: parabolic_cylinder_H(0.0, 1.0),
@@ -105,7 +103,6 @@ def _no_decay(n, t, rho):
 
 
 NEGATIVE = {
-    "conditional-clamp": lambda: conditional_density_exact(_flipped_spec(), 3, 0.5),
     "spectral-trajectory-dip": lambda: spectral_trajectory(_flipped_spec(), np.arange(2.0)),
     "ode-dip": lambda: integrate_ode(_BAD_GENERATOR, 5.0),
     "oracle-nonpositive": lambda: oracle_conditional_log(_flipped_oracle(), 1, 0.5),

@@ -15,7 +15,6 @@ from psq.exact import (
     Regime,
     build_generator,
     closed_form_small_N,
-    conditional_density_exact,
     conditional_density_exact_log,
     integrate_ode,
     oracle_conditional_log,
@@ -26,9 +25,7 @@ from psq.exact import (
     spectral_decompose,
     spectral_trajectory,
     steady_state_log_weights,
-    steady_state_weights,
     time_integral_residual,
-    unconditional_density_exact,
     unconditional_density_exact_log,
     unit_mass_residual,
 )
@@ -37,6 +34,11 @@ from psq.exact import (
 def _spec(population: int, rho: float):
     params = ModelParams(population, rho)
     return params, spectral_decompose(build_generator(params), params)
+
+
+def _density(spec, n: int, t: float) -> float:
+    sign, log_p = conditional_density_exact_log(spec, n, t)
+    return sign * math.exp(log_p)
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +93,16 @@ def test_generator_matvec_matches_dense() -> None:
 
 def test_steady_state_weights_frozen() -> None:
     # N = 4, rho = 2: ratios 1.5, 1.0, 0.5 give pi = (4, 6, 6, 3)/19.
-    w = steady_state_weights(ModelParams(4, 2.0))
+    w = np.exp(steady_state_log_weights(ModelParams(4, 2.0)))
     want = np.array([4.0, 6.0, 6.0, 3.0]) / 19.0
     assert np.abs(w - want).max() < 1e-15
 
 
 def test_steady_state_weights_normalized_and_log() -> None:
     for population, rho in ((8, 0.25), (512, 0.25), (512, 4.0)):
-        params = ModelParams(population, rho)
-        w = steady_state_weights(params)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        logw = steady_state_log_weights(params)
+        logw = steady_state_log_weights(ModelParams(population, rho))
         assert np.isfinite(logw).all()
-        mask = w > 0.0
-        assert np.abs(np.exp(logw[mask]) - w[mask]).max() < 1e-15
+        assert np.exp(logw).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,7 @@ def test_closed_form_matches_spectral_N2() -> None:
         for n in (0, 1):
             for t in (0.0, 0.1, 1.0, 5.0):
                 a = closed_form_small_N(params, n, t)
-                b = conditional_density_exact(spec, n, t)
+                b = _density(spec, n, t)
                 assert abs(a - b) < 1e-12
 
 
@@ -163,7 +161,7 @@ def test_closed_form_matches_spectral_N3() -> None:
         for n in (0, 1, 2):
             for t in (0.0, 0.1, 1.0, 5.0):
                 a = closed_form_small_N(params, n, t)
-                b = conditional_density_exact(spec, n, t)
+                b = _density(spec, n, t)
                 assert abs(a - b) < 1e-10
 
 
@@ -173,9 +171,7 @@ def test_initial_values() -> None:
         params, spec = _spec(population, rho)
         for n in range(population):
             tol = 1e-13 + 1e-14 / spec.scale[n]
-            assert conditional_density_exact(spec, n, 0.0) == pytest.approx(
-                1.0 / (n + 1.0), abs=tol
-            )
+            assert _density(spec, n, 0.0) == pytest.approx(1.0 / (n + 1.0), abs=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +192,20 @@ def test_structural_identities_weighted() -> None:
 
 
 def test_unconditional_is_weight_mixture() -> None:
-    _, spec = _spec(12, 3.0)
+    params, spec = _spec(12, 3.0)
+    weights = np.exp(steady_state_log_weights(params))
     for t in (0.0, 0.7, 2.5):
-        mix = sum(
-            spec.weights[n] * conditional_density_exact(spec, n, t)
-            for n in range(12)
+        mix = sum(weights[n] * _density(spec, n, t) for n in range(12))
+        assert math.exp(unconditional_density_exact_log(spec, t)) == pytest.approx(
+            mix, rel=1e-12
         )
-        assert unconditional_density_exact(spec, t) == pytest.approx(mix, rel=1e-12)
 
 
 def test_uncond_coeffs_positive_and_sum() -> None:
-    _, spec = _spec(24, 0.6)
+    params, spec = _spec(24, 0.6)
     assert (spec.uncond_coeffs >= 0.0).all()
     # p(0) = sum_n pi_n/(n+1) = sum_j d_j
-    want = (spec.weights / (np.arange(24) + 1.0)).sum()
+    want = (np.exp(steady_state_log_weights(params)) / (np.arange(24) + 1.0)).sum()
     assert spec.uncond_coeffs.sum() == pytest.approx(want, rel=1e-13)
 
 
@@ -255,27 +251,13 @@ def test_trajectory_shapes_and_method_tags() -> None:
 # log-scale evaluation
 # ---------------------------------------------------------------------------
 
-def test_log_matches_linear_bulk() -> None:
-    _, spec = _spec(64, 2.0)
-    for n in (0, 10, 30):
-        for t in (0.2, 1.0, 5.0):
-            sgn, lg = conditional_density_exact_log(spec, n, t)
-            lin = conditional_density_exact(spec, n, t)
-            assert sgn == 1
-            assert math.exp(lg) == pytest.approx(lin, rel=1e-10)
-    for t in (0.2, 1.0, 5.0):
-        assert math.exp(unconditional_density_exact_log(spec, t)) == pytest.approx(
-            unconditional_density_exact(spec, t), rel=1e-12
-        )
-
-
 def test_log_tail_beyond_double_underflow() -> None:
     # At t = 10^4 (nu_0 t ~ 860) the density underflows doubles but the log
     # stays finite and is governed by the slowest mode: log p ~ log d_0 - nu_0 t.
     _, spec = _spec(32, 0.5)
     t = 10000.0
-    assert unconditional_density_exact(spec, t) == 0.0
     lg = unconditional_density_exact_log(spec, t)
+    assert math.exp(lg) == 0.0
     want = math.log(spec.uncond_coeffs[0]) - spec.eigenvalues[0] * t
     assert lg == pytest.approx(want, rel=1e-12)
     sgn, lgc = conditional_density_exact_log(spec, 5, t)
@@ -286,7 +268,7 @@ def test_log_tail_beyond_double_underflow() -> None:
 def test_state_index_guard() -> None:
     _, spec = _spec(8, 1.0)
     with pytest.raises(ValueError):
-        conditional_density_exact(spec, 8, 1.0)
+        conditional_density_exact_log(spec, 8, 1.0)
     with pytest.raises(ValueError):
         conditional_density_exact_log(spec, -1, 1.0)
 
@@ -294,24 +276,19 @@ def test_state_index_guard() -> None:
 def test_evaluators_reject_bad_time_and_state() -> None:
     _, spec = _spec(8, 1.0)
     for t in (math.nan, -1.0, -1e-300, -math.inf):
-        for fn in (conditional_density_exact, conditional_density_exact_log):
-            with pytest.raises(InvalidInput):
-                fn(spec, 3, t)
-        for fn in (unconditional_density_exact, unconditional_density_exact_log):
-            with pytest.raises(InvalidInput):
-                fn(spec, t)
+        with pytest.raises(InvalidInput):
+            conditional_density_exact_log(spec, 3, t)
+        with pytest.raises(InvalidInput):
+            unconditional_density_exact_log(spec, t)
     for n in (3.5, 2.0, -1, 8, "3", None):
-        for fn in (conditional_density_exact, conditional_density_exact_log):
-            with pytest.raises(InvalidInput):
-                fn(spec, n, 1.0)
+        with pytest.raises(InvalidInput):
+            conditional_density_exact_log(spec, n, 1.0)
     assert issubclass(InvalidInput, PSQError) and issubclass(InvalidInput, ValueError)
 
 
 def test_evaluators_accept_infinite_time_and_numpy_index() -> None:
     _, spec = _spec(8, 1.0)
-    assert conditional_density_exact(spec, 3, math.inf) == 0.0
     assert conditional_density_exact_log(spec, 3, math.inf) == (0, -math.inf)
-    assert unconditional_density_exact(spec, math.inf) == 0.0
     assert unconditional_density_exact_log(spec, math.inf) == -math.inf
     assert conditional_density_exact_log(spec, np.int64(3), 1.5) == (
         conditional_density_exact_log(spec, 3, 1.5)
@@ -324,7 +301,7 @@ def test_decompose_rejects_dimension_mismatch() -> None:
 
 
 # ---------------------------------------------------------------------------
-# reporting basis
+# stored fields
 # ---------------------------------------------------------------------------
 
 def test_no_square_field_but_sym_vectors() -> None:
@@ -337,31 +314,6 @@ def test_no_square_field_but_sym_vectors() -> None:
     assert square == ["sym_vectors"]
 
 
-@pytest.mark.parametrize("rho, n_fallback, first", [(0.25, 336, 36), (1.5, 0, None)])
-def test_reporting_basis_definition(rho: float, n_fallback: int, first: int | None) -> None:
-    population = 600
-    _, spec = _spec(population, rho)
-    phi, c, fallbacks = spec.reporting_basis()
-    assert phi.shape == (population, population) and c.shape == (population,)
-    assert len(fallbacks) == n_fallback
-    assert (fallbacks[0] if fallbacks else None) == first
-    assert list(fallbacks) == sorted(set(fallbacks))
-    head_rows = np.setdiff1d(np.arange(population), fallbacks)
-    assert (phi[head_rows, 0] == 1.0).all()
-    for j in fallbacks:
-        assert np.linalg.norm(phi[j]) == pytest.approx(1.0, abs=1e-14)
-    assert np.isfinite(c).all()
-    # c_j phi_j(n) = beta_j v_j(n) / D_n wherever the right side is finite;
-    # a unit-norm fallback row spans up to 1e+307, so its subnormal entries
-    # carry fewer digits and are left out
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        want = spec.sym_coeffs[:, None] * (spec.sym_vectors.T / spec.scale[None, :])
-        got = c[:, None] * phi
-    mask = np.isfinite(want) & (np.abs(phi) >= np.finfo(float).tiny)
-    assert mask.any()
-    assert np.allclose(got[mask], want[mask], rtol=1e-14, atol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # extended-precision oracle
 # ---------------------------------------------------------------------------
@@ -371,7 +323,8 @@ def test_oracle_matches_double_solver() -> None:
     dec = oracle_decompose(params, digits=30)
     nu_mp = np.array([float(v) for v in dec.eigenvalues])
     assert np.abs(nu_mp - spec.eigenvalues).max() < 1e-12
-    _, c, _ = spec.reporting_basis()
+    # c_j = beta_j v_j(0) / D_0 in the basis scaled to phi_j(0) = 1
+    c = spec.sym_coeffs * spec.sym_vectors[0, :] / spec.scale[0]
     c_mp = np.array([float(v) for v in dec.cond_coeffs])
     assert np.abs((c_mp - c) / c_mp).max() < 1e-10
     d_mp = np.array([float(v) for v in dec.uncond_coeffs])

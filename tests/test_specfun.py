@@ -23,7 +23,6 @@ from psq.specfun import (
     find_root_newton,
     harmonic,
     hermite_He,
-    loop_series_Q,
     loop_series_Q_log,
     parabolic_cylinder_H,
     quad_to_infinity,
@@ -93,30 +92,34 @@ def test_hermite_index_guard() -> None:
 
 def test_loop_series_small_values() -> None:
     # Q(0) = e, Q(1) = 2e, Q(2) = 7e/2 by termwise reduction.
-    assert loop_series_Q(0) == pytest.approx(math.e, rel=1e-14)
-    assert loop_series_Q(1) == pytest.approx(2.0 * math.e, rel=1e-14)
-    assert loop_series_Q(2) == pytest.approx(3.5 * math.e, rel=1e-14)
+    assert math.exp(loop_series_Q_log(0)) == pytest.approx(math.e, rel=1e-14)
+    assert math.exp(loop_series_Q_log(1)) == pytest.approx(2.0 * math.e, rel=1e-14)
+    assert math.exp(loop_series_Q_log(2)) == pytest.approx(3.5 * math.e, rel=1e-14)
 
 
 def test_loop_series_integer_property() -> None:
     # n! Q(n) / e is a positive integer.
     for n in range(0, 12):
-        x = math.factorial(n) * loop_series_Q(n) / math.e
+        x = math.factorial(n) * math.exp(loop_series_Q_log(n)) / math.e
         assert abs(x - round(x)) <= 1e-8 * max(1.0, x)
 
 
 def test_loop_series_log_consistency() -> None:
-    for n in (0, 3, 25, 120):
-        assert loop_series_Q_log(n) == pytest.approx(
-            math.log(loop_series_Q(n)), rel=1e-12
-        )
+    import mpmath as mp
+
+    # Q(n) = 1F1(n + 1; 1; 1) in 40 digits; the log of the double series is
+    # within 2.2e-16 of it over the whole index range
+    for n in (0, 1, 2, 3, 8, 120, 422, 500):
+        with mp.workdps(40):
+            want = float(mp.log(mp.hyp1f1(n + 1, 1, 1)))
+        assert loop_series_Q_log(n) == pytest.approx(want, rel=1e-15, abs=0.0), n
 
 
 def test_loop_series_index_guard() -> None:
     with pytest.raises(ValueError):
-        loop_series_Q(-1)
+        loop_series_Q_log(-1)
     with pytest.raises(ValueError):
-        loop_series_Q(501)
+        loop_series_Q_log(501)
     assert math.isfinite(loop_series_Q_log(500))
 
 

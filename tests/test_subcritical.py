@@ -26,8 +26,10 @@ layer equation's inner panel gives the bits of a fresh quadrature, replays
 its MaxDepthExceeded, spares later solves at one rho their left-end walk
 and holds nothing but the walks; bad caller input raises
 InvalidInput; the eigenvalue expansion converges to the exact spectrum at
-its predicted order; and the seams and defects that ROADMAP items 2 and 3
-are to mend stand as strict xfails.
+its predicted order, and the mode-0 spectral coefficient to the exact c_0;
+the eigenvector expansion stays finite, in log form, past double range;
+and the seams and defects that ROADMAP items 2 and 3 are to mend stand as
+strict xfails.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from psq import subcritical
 from psq.errors import (
@@ -53,10 +55,11 @@ from psq.errors import (
     MaxDepthExceeded,
     PSQError,
     RootNotBracketed,
+    ScaleGap,
 )
-from psq.exact import ModelParams, build_generator
+from psq.exact import ModelParams, build_generator, steady_state_log_weights
 from psq.infinite import tail_asym_infinite
-from psq.specfun import elliptic_KE, find_root_bracketed
+from psq.specfun import elliptic_KE, find_root_bracketed, loop_series_Q_log
 from psq.subcritical import (
     LogDensityApprox,
     RegimeLabel,
@@ -633,10 +636,10 @@ def test_bad_input_raises_invalid_input(case: str) -> None:
 
 
 def _scaled_eigen_errors(rho: float, j: int) -> list:
-    """(asym - exact) N^(5/4) for mode j at N = 10^3, 10^4, 10^5; the
+    """(asym - exact) N^(5/4) for mode j at N = 10^3, 10^4, 10^5, 10^6; the
     exact nu_j from the symmetrized generator, slowest modes only."""
     out = []
-    for big_n in (10**3, 10**4, 10**5):
+    for big_n in (10**3, 10**4, 10**5, 10**6):
         params = ModelParams(big_n, rho)
         gen = build_generator(params)
         exact = eigvalsh_tridiagonal(
@@ -648,18 +651,66 @@ def _scaled_eigen_errors(rho: float, j: int) -> list:
 
 @pytest.mark.parametrize("j, lo, hi", [(0, -0.30, -0.20), (1, -0.96, -0.90)])
 def test_eigen_asym_error_is_order_n_to_minus_five_quarters(j, lo, hi) -> None:
-    # measured -0.237, -0.253, -0.260 (j = 0) and -0.931, -0.933, -0.929
+    # measured -0.237, -0.253, -0.260, -0.264 (j = 0) and -0.931, -0.933,
+    # -0.929, -0.925 (j = 1)
     for scaled in _scaled_eigen_errors(0.25, j):
         assert lo <= scaled <= hi
 
 
 def test_eigen_asym_next_term_is_order_n_to_minus_three_halves() -> None:
-    # at rho = 0.75 the scaled error still moves (-0.61, -1.10, -1.41), but
-    # by steps that shrink by 10^(-1/4) = 0.56 a decade, as an N^(-3/2) next
-    # term would; a log N term would keep them constant
-    e3, e4, e5 = _scaled_eigen_errors(0.75, 0)
-    assert e5 < e4 < e3 < 0.0
+    # at rho = 0.75 the scaled error still moves (-0.61, -1.10, -1.41,
+    # -1.59), but by steps that shrink by 10^(-1/4) = 0.56 a decade, as an
+    # N^(-3/2) next term would (measured 0.64 and 0.57); a log N term would
+    # keep them constant
+    e3, e4, e5, e6 = _scaled_eigen_errors(0.75, 0)
+    assert e6 < e5 < e4 < e3 < 0.0
     assert 0.5 <= (e5 - e4) / (e4 - e3) <= 0.75
+    assert 0.5 <= (e6 - e5) / (e5 - e4) <= 0.75
+
+
+def test_spectral_coeff_converges_to_exact_c0() -> None:
+    # the exact c_0 = beta_0 v_0(0) / D_0 from the slowest eigenvector alone,
+    # taken to the expansion's normalization phi_0(0) = Q(0); the error in
+    # log (measured -0.257, -0.199, -0.150, -0.110) shrinks by about
+    # 4^(-1/4) = 0.71 per step (measured 0.78, 0.75, 0.74)
+    errors = []
+    for big_n in (1000, 4000, 16000, 64000):
+        params = ModelParams(big_n, 0.25)
+        gen = build_generator(params)
+        _, vec = eigh_tridiagonal(
+            -gen.diag, -np.sqrt(gen.sup * gen.sub), select="i", select_range=(0, 0)
+        )
+        v = vec[:, 0]
+        log_d = 0.5 * (np.log(np.arange(big_n) + 1.0) + steady_state_log_weights(params))
+        beta = v @ np.exp(log_d - np.log(np.arange(big_n) + 1.0))
+        log_c0 = math.log(beta * v[0]) - log_d[0] - loop_series_Q_log(0)
+        errors.append(spectral_coeff_asym_sub(0, params).log_value(big_n) - log_c0)
+    assert all(e < 0.0 for e in errors)
+    for prev, cur in zip(errors, errors[1:]):
+        assert 0.65 <= cur / prev <= 0.85
+
+
+# (j, n) in the corner, Gaussian, x and xi windows at N = 10^4, rho = 0.25,
+# and phi_j(n) there as a plain double
+_EIGVEC_LINEAR = [
+    (0, 5, 1120.6569884793817),
+    (2, 150, -4.251400900682544e50),
+    (1, 300, -3.2903092526936914e95),
+    (1, 800, -3.471141262316452e226),
+]
+
+
+def test_eigvec_asym_in_log_form() -> None:
+    params = ModelParams(10**4, 0.25)
+    for j, n, linear in _EIGVEC_LINEAR:
+        sign, log_mag = eigvec_asym_sub(j, n, params)
+        assert sign * math.exp(log_mag) == pytest.approx(linear, rel=1e-12, abs=0.0)
+    # phi_0 grows like rho^(-n/2) past double range on the xi scale
+    for n in (3000, 9000):
+        sign, log_mag = eigvec_asym_sub(0, n, params)
+        assert sign == 1 and 709.8 < log_mag < math.inf
+    with pytest.raises(ScaleGap):
+        eigvec_asym_sub(1, 450, params)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from psq.errors import IndexTooLarge, NotSupercritical, OutOfRegion
 from psq.exact import (
     ModelParams,
     build_generator,
-    conditional_density_exact,
+    conditional_density_exact_log,
     spectral_decompose,
 )
 from psq.specfun import quad_to_infinity
@@ -107,7 +107,8 @@ def test_two_term_convergence_rate() -> None:
         spec = _decompose(params)
         n = big_n // 2
         t = 0.3 * big_n
-        exact = conditional_density_exact(spec, n, t)
+        sign, log_exact = conditional_density_exact_log(spec, n, t)
+        exact = sign * math.exp(log_exact)
         ex = xi_tau_expansion(XiTauPoint.from_indices(n, t, big_n), params)
         errs[big_n] = abs(ex.value - exact)
         errs[(big_n, "one")] = abs(ex.leading / big_n - exact)
@@ -325,10 +326,12 @@ def test_large_rho_zeroth_vector_harmonic_correction() -> None:
     params = ModelParams(6, 1e4)
     spec = _decompose(params)
     limit = large_rho_spectrum(params)
-    phi, _, _ = spec.reporting_basis()
+    # phi_0(n) = (v_0(n) / D_n) / (v_0(0) / D_0), scaled so phi_0(0) = 1
+    phi0 = spec.sym_vectors[:, 0] / spec.scale
+    phi0 = phi0 / phi0[0]
     for n in range(6):
         want = limit.phi0_correction(n)
-        assert abs(phi[0, n] - want) < 1e-6
+        assert abs(phi0[n] - want) < 1e-6
 
 
 def test_large_rho_index_guards() -> None:
