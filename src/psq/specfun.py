@@ -50,20 +50,23 @@ has no scalar form to match, so it may use numpy's pow, exp and log.
 
 Root solves
 -----------
-An equation whose left side and its derivative come in closed form, from
-one AGM, is solved by find_root_newton: the T2 layer equation and the
-fixed-n boundary layer on the sigma scale in `subcritical`.  Each caller
-starts from an analytic seed, within 0.1 of the root in the Newton
-variable log(x - floor), so a solve takes 1-5 evaluations of the AGM, and
-the last of them also gives the quantities the caller needs at the root.
-The sign bracket and its bisection only guard against a step that leaves
-it; neither end is evaluated.
+An equation whose left side and its derivative come in closed form, or
+from pieces that are cheap next to a solve's other work, is solved by
+find_root_newton: the T2 layer equation, the fixed-n boundary layer on the
+sigma scale and the D3 boundary layer in `subcritical`.  Each caller starts
+from an analytic seed (for D3, the root of the same equation with its
+quadrature replaced by a 3-point Gauss rule), so a solve takes 1-5
+evaluations, and the last of them also gives the quantities the caller
+needs at the root.  The sign bracket and its bisection only guard against
+a step that leaves it; neither end is evaluated.  A root is accepted by
+how well the doubles resolve its Newton variable log(x - floor), so each
+solve's reach has one edge.
 
-The D1/D2/D3 boundary-layer equations are still integrated by quadrature
-and solved by find_root_bracketed, which evaluates its function once per
-distinct argument, through a memo that lives for one solve.  A solver
-that searches for the bracket itself puts its function behind
-functools.cache before the search, and the root finder reads that same
+Brent serves only the D1/D2 boundary-layer equations, which are still
+integrated by quadrature and solved by find_root_bracketed.  It evaluates
+its function once per distinct argument, through a memo that lives for
+one solve.  The D1/D2 solver puts its function behind functools.cache
+before it searches for the bracket, and the root finder reads that same
 memo: the bracket ends, Brent's first calls there and the residual check
 at the root cost no second quadrature.  No root memo outlives its solve,
 so repeating a solve repeats its work.
@@ -132,14 +135,16 @@ class EllipticPair:
 def elliptic_KE(k: float) -> EllipticPair:
     """K(k) and E(k) by the arithmetic-geometric mean, modulus convention.
 
-    AGM iterates a <- (a+b)/2, b <- sqrt(ab) from (1, sqrt(1-k^2));
+    AGM iterates a <- (a+b)/2, b <- sqrt(ab) from (1, k'), k' = sqrt(1-k^2);
     K = pi/(2*AGM) and E = K*(1 - sum 2^(n-1) c_n^2) with c_n = (a_n-b_n)/2,
     c_0 = k.  Iteration stops when successive means differ by < 1e-15.
+    k' is formed as sqrt((1-k)(1+k)), which keeps its relative accuracy as
+    k -> 1, where K ~ log(4/k') depends on it most.
     """
     if not 0.0 <= k < 1.0:
         raise ModulusOutOfRange(f"modulus must be in [0, 1), got {k}")
     a = 1.0
-    b = math.sqrt(1.0 - k * k)
+    b = math.sqrt((1.0 - k) * (1.0 + k))
     c_sum = 0.5 * k * k  # 2^(-1) * c_0^2
     tail = 0.0  # the same sum from n = 1, added up on its own
     pow2 = 1.0
@@ -403,7 +408,9 @@ def _brentq(
 # which sets the rounding of floor + (x - floor) e^step) ends the iteration
 _NEWTON_ULPS = 4.0
 # a Newton step this short in log(x - floor) lands within about C * 2^-52 of
-# the root, C = |f'' / 2 f'| in that variable, so its landing point is final
+# the root, C = |f'' / 2 f'| in that variable, so its landing point is final;
+# a root is accepted where the doubles next to it lie no further apart than
+# this in that variable
 _NEWTON_LAST_STEP = 2.0**-26
 # evaluations before a solve gives up; the layer equations take 1-5, and a
 # bracket halved this many times in log(x - floor) is narrow anyway
@@ -415,7 +422,6 @@ def find_root_newton(
     x: float,
     lo: float,
     hi: float,
-    tol: float,
     *,
     floor: float,
     rising: bool,
@@ -436,8 +442,16 @@ def find_root_newton(
     max(|x|, |floor|), when it lands after a step shorter than 2^-26 in u
     (quadratic convergence puts it within rounding of the root), when no
     double is left strictly inside the bracket, or after 40 evaluations.
-    It returns (x, fdf(x)) for the point with the smallest |f| evaluated,
-    and raises BracketFailure where that |f| exceeds tol or f is nan.
+    It returns (x, fdf(x)) for the point with the smallest |f| evaluated.
+
+    That point is accepted by how well it resolves u, not by the size of f,
+    whose scale is the equation's: the doubles next to it must lie at most
+    2^-26 apart in u, and its own Newton step must be at most 8 times that.
+    The 4-ulp stop leaves a step of at most 8 spacings, since 4 * 2^-52 M is
+    at most 8 ulps of M, so every converged solve meets the second test
+    wherever it meets the first.  The reach of a solve thus has one edge,
+    where x - floor shrinks below 2^26 ulps; BracketFailure is raised past
+    it, and where f is nan or the evaluations run out first.
     """
     x = min(max(x, lo), hi)
     best_x, best = x, None
@@ -468,10 +482,14 @@ def find_root_newton(
             if not lo < x_next < hi:
                 break
         x = x_next
-    residual = abs(best[0])
-    if residual > tol:
+    span = best_x - floor
+    spacing = math.ulp(max(abs(best_x), abs(floor))) / span
+    slope = abs(best[1] * span)
+    step = abs(best[0]) / slope if slope else (math.inf if best[0] else 0.0)
+    if spacing > _NEWTON_LAST_STEP or not step <= 2.0 * _NEWTON_ULPS * _NEWTON_LAST_STEP:
         raise BracketFailure(
-            f"root at {best_x} leaves |f| = {residual:.3e} > tol = {tol:.3e}"
+            f"root at {best_x} is not resolved: doubles {spacing:.3e} apart in "
+            f"log(x - floor), Newton step {step:.3e} left"
         )
     return best_x, best
 

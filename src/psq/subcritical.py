@@ -52,8 +52,9 @@ from .specfun import (
 )
 from .supercritical import XiTauPoint
 
-# root equations solve to 1e-10 in the unknown; supporting quadratures run
-# one decade tighter so the bracket logic never sees quadrature noise
+# the D1/D2 Brent solve meets |f| <= 1e-10; the layer equations'
+# quadratures run one decade tighter so the bracket logic never sees
+# quadrature noise
 _ROOT_RESIDUAL_TOL = 1e-10
 _EQ_QUAD_TOL = 1e-11
 _EVAL_QUAD_TOL = 1e-12
@@ -408,7 +409,7 @@ def r3_big_f(xi: float, rho: float) -> float:
 
 
 def r3_j_factor(xi: float, rho: float) -> float:
-    """Spatial constant J(xi) shared by R3, T2, and the matching form."""
+    """Spatial constant J(xi) shared by R3 and T2."""
     _require_subcritical(rho)
     if xi <= 0.0:
         raise InvalidInput(f"xi must be positive, got {xi}")
@@ -700,7 +701,6 @@ def _t2_root(delta: float, rho: float) -> tuple[float, float, float]:
         floor + rt_c * math.exp(_t2_seed_log_eps(tau)),
         math.nextafter(floor, math.inf),
         floor + 2.0**1000,
-        _ROOT_RESIDUAL_TOL,
         floor=floor,
         rising=False,
     )
@@ -715,11 +715,11 @@ def t2_solve_A(delta: float, rho: float) -> float:
     it is nearly linear in log(a - floor) next to the floor, so Newton steps
     in that log, from the seed of `_t2_seed_log_eps`, with the derivative
     -pref/2 that the same AGM gives: 2-5 evaluations, mostly 3 or 4, for
-    Delta in [-15, 18] and rho in [0.05, 0.95].  The reach in Delta is set
-    by the residual check: at large Delta the root sits so close to the
-    floor that no double meets it, and BracketFailure is raised, first at
-    Delta of about 22 at rho = 0.25 and 31.5 at rho = 0.75, and at some
-    Delta up to about 29.7 and 44.4, past which it always is.
+    Delta in [-15, 18] and rho in [0.05, 0.95].  The reach in Delta has one
+    edge: at large Delta the root sits so close to the floor that the
+    doubles there no longer resolve log(a - floor) to 2^-26, and
+    BracketFailure is raised from Delta of about 30 at rho = 0.25 and 46.6
+    at rho = 0.75 on.
     """
     return _t2_root(delta, rho)[0]
 
@@ -731,10 +731,10 @@ def t2_evaluate(
 
     No quadrature: a comes from the Newton solve of `t2_solve_A`, whose
     evaluation of `_t2_integrals` at the root also gives the decay and
-    prefactor integrals.  The reach in Delta is set by that root solve's
-    residual check (BracketFailure from Delta of about 22 at rho = 0.25 and
-    31.5 at rho = 0.75), not by the integrals.  Beyond |Delta| of about 8
-    the neighbouring R2/R3 forms are better anyway.
+    prefactor integrals.  The reach in Delta is set by that root solve
+    (BracketFailure from Delta of about 30 at rho = 0.25 and 46.6 at
+    rho = 0.75), not by the integrals.  Beyond |Delta| of about 8 the
+    neighbouring R2/R3 forms are better anyway.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -850,22 +850,6 @@ def _bl_sigma_lhs(
     return 0 + inner + tanh_sinh(h, w_mid, upper_w, rel_tol, vectorized=True)
 
 
-def _bl_sigma_lhs_d3(
-    x: float, alpha: float, c: float, rel_tol: float = _EQ_QUAD_TOL
-) -> float:
-    # reflected layer equation: integral from x to alpha plus integral from
-    # 0 to alpha, both regularized at v = alpha by v = alpha - s^2
-    beta = 1.0 / (c * alpha)
-    gap = beta - alpha
-
-    def h(s: np.ndarray) -> np.ndarray:
-        return 2.0 * np.sqrt(alpha - s * s) / np.sqrt(c * (gap + s * s))
-
-    tail = tanh_sinh(h, 0.0, math.sqrt(alpha - x), rel_tol, vectorized=True)
-    full = tanh_sinh(h, 0.0, math.sqrt(alpha), rel_tol, vectorized=True)
-    return tail + full
-
-
 def _bl_eta_integral(
     upper: float, b1: float, c: float, rel_tol: float = _EVAL_QUAD_TOL
 ) -> float:
@@ -898,6 +882,161 @@ def _gamma_prefactor(x: float, b1: float, rho: float, c: float) -> float:
         / math.sqrt(x)
         * q_over_v**-0.25
     )
+
+
+def _bl_eta_closed_form(alpha: float, c: float, pair: EllipticPair) -> float:
+    """The integral of sqrt(c v + 1/v + b1) over (0, alpha) at the layer
+    root, b1 = -(c alpha + 1/alpha), from `pair` = elliptic_KE(sqrt(c) alpha).
+
+    With beta = 1/(c alpha) the integrand is sqrt(c (alpha - v)(beta - v) / v),
+    and the integral is 2 sqrt(alpha) / (3 k^2) ((1 + k^2) E - (1 - k^2) K)
+    at k^2 = c alpha^2.  That difference cancels at small k; with
+    E = K (1 - k^2/2 - r), r the AGM tail, it is
+    K k^2 (3/2 - k^2/2 - (1 + k^2) r / k^2), whose terms do not.
+    """
+    k2 = c * alpha * alpha
+    tail_ratio = pair.tail / k2 if pair.tail else 0.0
+    bracket = 0.5 - k2 / 6.0 - (1.0 + k2) * tail_ratio / 3.0
+    return 2.0 * math.sqrt(alpha) * pair.K * bracket
+
+
+def _fixed_n_lhs(alpha: float, c: float) -> tuple[float, float, EllipticPair]:
+    """F(alpha), the integral of [c v + 1/v + b1]^(-1/2) over (0, alpha) at
+    the layer root, b1 = -(c alpha + 1/alpha), with dF/dalpha and the
+    elliptic_KE(sqrt(c) alpha) they come from.
+
+    With beta = 1/(c alpha) and k = sqrt(c) alpha, F = 2 sqrt(beta / c)
+    (K - E), and with K - E = K k^2 (1/2 + r/k^2), r the AGM tail, that is
+    2 K (1/2 + r/k^2) alpha^(3/2); d(K - E)/dk = k E / (1 - k^2) makes its
+    derivative sqrt(alpha) (2E / (1 - k^2) - K (1/2 + r/k^2)): nothing
+    cancels at small k.  It is the left side of the fixed-n layer equation
+    and the complete part of the D3 one.
+    """
+    k = math.sqrt(c) * alpha
+    pair = elliptic_KE(k)
+    tail_ratio = pair.tail / (k * k) if pair.tail else 0.0
+    k_minus_e_per_k2 = pair.K * (0.5 + tail_ratio)
+    root_alpha = math.sqrt(alpha)
+    lhs = 2.0 * k_minus_e_per_k2 * alpha * root_alpha
+    slope = root_alpha * (2.0 * pair.E / ((1.0 - k) * (1.0 + k)) - k_minus_e_per_k2)
+    return lhs, slope, pair
+
+
+# 3-point Gauss-Legendre nodes on (0, 1) with their weights
+_GAUSS3 = (
+    (0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0),
+    (0.5, 4.0 / 9.0),
+    (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0),
+)
+
+
+def _d3_reflected(x: float, alpha: float, c: float) -> tuple[float, float]:
+    """R, the integral of [c v + 1/v + b1]^(-1/2) over (x, alpha) at
+    b1 = -(c alpha + 1/alpha), and dR/dalpha, from a 3-point Gauss rule.
+
+    With v = alpha sin^2 t, R is 2 alpha^(3/2) times the integral of
+    sin^2 t (1 - k^2 sin^2 t)^(-1/2) over (phi, pi/2), k^2 = c alpha^2,
+    phi = asin(sqrt(x / alpha)), whose integrand has no end singularity.
+    The rule keeps R's sqrt(alpha - x) start at the D2/D3 curve exactly,
+    and on the benchmark's D3 points puts the root of F + R = target within
+    2.5e-4 of the true one in log(alpha - x).
+    """
+    k2 = c * alpha * alpha
+    width = math.atan(math.sqrt((alpha - x) / x))  # pi/2 - phi
+    # the rule's sum and its derivatives in width and k^2, node by node
+    total = by_width = by_k2 = 0.0
+    for node, weight in _GAUSS3:
+        t = 0.5 * math.pi - width * node
+        s2 = math.sin(t) ** 2
+        q = 1.0 - k2 * s2
+        total += weight * s2 / math.sqrt(q)
+        by_width -= weight * node * math.sin(2.0 * t) * (1.0 - 0.5 * k2 * s2) / q**1.5
+        by_k2 += weight * 0.5 * s2 * s2 / q**1.5
+    scale = 2.0 * alpha**1.5
+    rest = scale * width * total
+    # d width / d alpha = sqrt(x / (alpha - x)) / (2 alpha)
+    dwidth = math.sqrt(x / (alpha - x)) / (2.0 * alpha)
+    slope = 1.5 * rest / alpha + scale * (
+        dwidth * (total + width * by_width) + 2.0 * k2 / alpha * width * by_k2
+    )
+    return rest, slope
+
+
+def _solve_alpha_d3(
+    x: float, sigma: float, rho: float, c: float
+) -> tuple[float, EllipticPair, float]:
+    """The root alpha in (x, v*) of the D3 layer equation, with the
+    elliptic_KE pair and the prefactor integral at it.
+
+    The equation is the integral of [c v + 1/v + b1]^(-1/2) over (x, alpha)
+    plus that over (0, alpha), at b1 = -(c alpha + 1/alpha), equal to
+    2 sqrt(rho) sigma: 2F - P with F = `_fixed_n_lhs` and P = `_bl_sigma_lhs`
+    over (0, x).  P depends on alpha only through b1, so
+    dP/dalpha = -(1/2) `_bl_gamma_integral` db1/dalpha, and that integral is
+    the one the prefactor needs at the root.  The left side rises from the
+    D2/D3 curve value F(x) at alpha = x to +inf at v*.
+
+    Newton steps in log(alpha - x), 2-3 evaluations on the benchmark's
+    points, from the root of F + R = target with R from `_d3_reflected`,
+    itself found by Newton from where F + R = F(x) + 2 x sqrt((alpha - x) /
+    (1 - c x^2)) + O(alpha - x) puts it next to the D2/D3 curve, at most
+    halfway to v*.  Where the prefactor integral gives up at an iterate,
+    that step takes the slope of F + R instead.  Next to the D2/D3 curve,
+    where alpha - x is too small for the doubles to resolve, or for the
+    quadratures, which spike at v = x, to converge at the root,
+    CurveSingularity is raised.
+    """
+    target = 2.0 * math.sqrt(rho) * sigma
+    vstar = c**-0.5
+
+    def curve_singularity() -> CurveSingularity:
+        return CurveSingularity(
+            f"point x={x}, sigma={sigma} sits too close to the D2/D3 curve "
+            "for the layer root or its quadratures"
+        )
+
+    def model(alpha: float) -> tuple[float, float]:
+        full, full_slope, _ = _fixed_n_lhs(alpha, c)
+        rest, rest_slope = _d3_reflected(x, alpha, c)
+        return full + rest - target, full_slope + rest_slope
+
+    def fdf(alpha: float) -> tuple[float, float, EllipticPair, float]:
+        b1 = -(c * alpha + 1.0 / alpha)
+        full, full_slope, pair = _fixed_n_lhs(alpha, c)
+        try:
+            part = _bl_sigma_lhs(x, b1, c)
+        except MaxDepthExceeded as err:
+            raise curve_singularity() from err
+        try:
+            # at the equation's tolerance: next to the curve, where the
+            # quadrature is hardest, the rounding of alpha - x alone moves
+            # it by more than that
+            gamma_int = _bl_gamma_integral(x, b1, c, _EQ_QUAD_TOL)
+        except MaxDepthExceeded:
+            gamma_int = math.nan
+            slope = model(alpha)[1]
+        else:
+            k = math.sqrt(c) * alpha
+            # db1/dalpha = 1/alpha^2 - c = (1 - k^2) / alpha^2
+            db1 = (1.0 - k) * (1.0 + k) / (alpha * alpha)
+            slope = 2.0 * full_slope + 0.5 * gamma_int * db1
+        return 2.0 * full - part - target, slope, pair, gamma_int
+
+    gap = 0.5 * (target - _fixed_n_lhs(x, c)[0])
+    offset = gap * gap * (1.0 - c * x * x) / (x * x)
+    lo = math.nextafter(x, math.inf)
+    try:
+        seed, _ = find_root_newton(
+            model, min(x + offset, 0.5 * (x + vstar)), lo, vstar, floor=x, rising=True
+        )
+        alpha, (_, _, pair, gamma_int) = find_root_newton(
+            fdf, seed, lo, vstar, floor=x, rising=True
+        )
+    except BracketFailure as err:  # alpha - x is not resolved
+        raise curve_singularity() from err
+    if math.isnan(gamma_int):
+        raise curve_singularity()
+    return alpha, pair, gamma_int
 
 
 def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
@@ -970,48 +1109,6 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
     return find_root_bracketed(g, lo, hi, tol=_ROOT_RESIDUAL_TOL)
 
 
-def _solve_alpha_d3(x: float, sigma: float, rho: float, c: float) -> float:
-    # D3 branch: solve for the root alpha in (x, vstar) of the reflected
-    # equation; the left side grows from the D2/D3 boundary value to +inf
-    target = 2.0 * math.sqrt(rho) * sigma
-    vstar = c**-0.5
-
-    @functools.cache  # one memo for the bracket search and the root solve
-    def g(alpha: float) -> float:
-        try:
-            return _bl_sigma_lhs_d3(x, alpha, c) - target
-        except MaxDepthExceeded:
-            return math.inf
-
-    lo = x * (1.0 + 1e-12)
-    g_lo = g(lo)
-    shrink = 0
-    while g_lo >= 0.0 and shrink < 3:
-        # root hugs alpha = x just past the boundary curve; walk in
-        lo = x * (1.0 + (lo / x - 1.0) * 1e-2)
-        g_lo = g(lo)
-        shrink += 1
-    if g_lo >= 0.0:
-        raise RootNotBracketed(
-            f"point x={x}, sigma={sigma} is not past the D2/D3 boundary"
-        )
-    hi = vstar * (1.0 - 1e-10)
-    g_hi = g(hi)
-    for _ in range(40):
-        if math.isfinite(g_hi) and g_hi > 0.0:
-            break
-        if not math.isfinite(g_hi):
-            hi = vstar - (vstar - hi) * 10.0
-            if hi <= lo:
-                raise BracketFailure(f"no usable D3 bracket at x={x}, sigma={sigma}")
-        else:
-            hi = vstar - (vstar - hi) * 0.01
-        g_hi = g(hi)
-    else:
-        raise BracketFailure(f"no positive D3 bracket end at x={x}, sigma={sigma}")
-    return find_root_bracketed(g, lo, hi, tol=_ROOT_RESIDUAL_TOL)
-
-
 def bl_xsigma_evaluate(
     x: float, sigma: float, params: ModelParams
 ) -> tuple[XsigmaSolution, LogDensityApprox]:
@@ -1019,7 +1116,9 @@ def bl_xsigma_evaluate(
 
     Splits into sub-regions D1/D2/D3 by the separating curves; raises
     CurveSingularity within 1e-6 of the shared vertical asymptote
-    x = (1 - sqrt(rho))^(-1/2), where the region decision degenerates.
+    x = (1 - sqrt(rho))^(-1/2), where the region decision degenerates, and
+    next to the D2/D3 curve, where the prefactor quadratures give up.  D3
+    is solved by Newton (`_solve_alpha_d3`), D1 and D2 by Brent.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -1036,39 +1135,18 @@ def bl_xsigma_evaluate(
         )
     region = _xsigma_region(x, sigma, rho)
     if region == "D3":
-        alpha = _solve_alpha_d3(x, sigma, rho, c)
+        alpha, pair, gamma_int = _solve_alpha_d3(x, sigma, rho, c)
+        k = math.sqrt(c) * alpha
         beta = 1.0 / (c * alpha)
         b1 = -(c * alpha + 1.0 / alpha)
-        eta = (
-            b1 * sr * sigma
-            + _bl_eta_integral(x, b1, c)
-            - 2.0 * _bl_eta_integral(alpha, b1, c)
-        )
-        disc = b1 * b1 - 4.0 * c
-        k = math.sqrt(c) * alpha
-        pair = elliptic_KE(k)
-        gamma0 = (
-            -2.0
-            * math.sqrt(2.0)
-            * math.sqrt(-b1 + math.sqrt(disc))
-            / (c * disc)
-            * (math.sqrt(disc) * pair.K + b1 * pair.E)
-        )
-        try:
-            base = _bl_gamma_integral(x, b1, c) + gamma0
-        except MaxDepthExceeded as err:
-            # the quadrature spikes like 1/sqrt(offset) against the D2/D3
-            # curve, where the two divergent prefactor pieces cancel only
-            # analytically; report the geometry instead of the quadrature
-            raise CurveSingularity(
-                f"point x={x}, sigma={sigma} sits too close to the D2/D3 "
-                "curve for the prefactor quadrature"
-            ) from err
-        if base <= 0.0:
-            raise BracketFailure(
-                f"prefactor integral degenerated at x={x}, sigma={sigma}"
-            )
-        gamma = _gamma_prefactor(x, b1, rho, c) * base**-0.5
+        eta_alpha = _bl_eta_closed_form(alpha, c, pair)
+        eta = b1 * sr * sigma + _bl_eta_integral(x, b1, c) - 2.0 * eta_alpha
+        # the elliptic correction -2 sqrt(2) sqrt(-b1 + d) (d K + b1 E) / (c d^2),
+        # d = sqrt(b1^2 - 4c) = (1 - k^2) / alpha, is 6 alpha^2 eta_alpha / (1 - k^2)^2:
+        # its sum d K + b1 E = -3 k^2 eta_alpha / (2 alpha^(3/2)) cancels at
+        # small k, and d itself next to v*, where eta_alpha does neither
+        gamma0 = 6.0 * eta_alpha * (alpha / ((1.0 - k) * (1.0 + k))) ** 2
+        gamma = _gamma_prefactor(x, b1, rho, c) * (gamma_int + gamma0) ** -0.5
     else:
         b1 = _solve_b1_direct(x, sigma, rho, c)
         disc = b1 * b1 - 4.0 * c
@@ -1134,22 +1212,6 @@ def _bl_nsigma_seed_modulus(s: float) -> float:
     return math.sqrt((1.0 - kp) * (1.0 + kp))
 
 
-def _bl_eta_closed_form(alpha: float, c: float, pair: EllipticPair) -> float:
-    """The integral of sqrt(c v + 1/v + b1) over (0, alpha) at the layer
-    root, b1 = -(c alpha + 1/alpha), from `pair` = elliptic_KE(sqrt(c) alpha).
-
-    With beta = 1/(c alpha) the integrand is sqrt(c (alpha - v)(beta - v) / v),
-    and the integral is 2 sqrt(alpha) / (3 k^2) ((1 + k^2) E - (1 - k^2) K)
-    at k^2 = c alpha^2.  That difference cancels at small k; with
-    E = K (1 - k^2/2 - r), r the AGM tail, it is
-    K k^2 (3/2 - k^2/2 - (1 + k^2) r / k^2), whose terms do not.
-    """
-    k2 = c * alpha * alpha
-    tail_ratio = pair.tail / k2 if pair.tail else 0.0
-    bracket = 0.5 - k2 / 6.0 - (1.0 + k2) * tail_ratio / 3.0
-    return 2.0 * math.sqrt(alpha) * pair.K * bracket
-
-
 def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityApprox:
     """Boundary-layer density at fixed n and t = sigma N^(3/4).
 
@@ -1163,10 +1225,9 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
 
     Raises RootNotBracketed when sigma is too large for the bracket
     (0, vstar (1 - 1e-12)), from sigma of 93.5 at rho = 0.25 and 144.5 at
-    rho = 0.75.  Below that, from sigma of about 40 and 62, the root sits so
-    close to vstar that at some sigma no double meets the residual check,
-    and BracketFailure is raised there; it is also raised below sigma of
-    about 1e-194, where the prefactor underflows.
+    rho = 0.75.  Every sigma below that is solved: however close the root
+    comes to vstar, the doubles there resolve log alpha.  BracketFailure is
+    raised below sigma of about 1e-194, where the prefactor underflows.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -1181,20 +1242,7 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
     target = sr * sigma
 
     def fdf(alpha: float) -> tuple[float, float, EllipticPair]:
-        # with beta = 1/(c alpha) and K - E = K k^2 (1/2 + r/k^2), r the AGM
-        # tail, the left side is 2 K (1/2 + r/k^2) alpha^(3/2), and
-        # d(K - E)/dk = k E / (1 - k^2) makes its derivative
-        # sqrt(alpha) (2E / (1 - k^2) - K (1/2 + r/k^2)): nothing cancels at
-        # small k
-        k = rt_c * alpha
-        pair = elliptic_KE(k)
-        tail_ratio = pair.tail / (k * k) if pair.tail else 0.0
-        k_minus_e_per_k2 = pair.K * (0.5 + tail_ratio)
-        root_alpha = math.sqrt(alpha)
-        lhs = 2.0 * k_minus_e_per_k2 * alpha * root_alpha
-        slope = root_alpha * (
-            2.0 * pair.E / ((1.0 - k) * (1.0 + k)) - k_minus_e_per_k2
-        )
+        lhs, slope, pair = _fixed_n_lhs(alpha, c)
         return lhs - target, slope, pair
 
     # the left side rises from 0 at alpha = 0 to +inf at vstar, as a function
@@ -1209,13 +1257,16 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
         _bl_nsigma_seed_modulus(s) / rt_c,
         math.nextafter(0.0, 1.0),
         hi,
-        _ROOT_RESIDUAL_TOL,
         floor=0.0,
         rising=True,
     )
     b1 = -(c * alpha + 1.0 / alpha)
-    disc = b1 * b1 - 4.0 * c
-    gamma_star = -2.0 * sr * sigma / math.sqrt(disc) + 8.0 * math.sqrt(alpha) * pair.E / disc
+    # sqrt(b1^2 - 4c) = (1 - k^2) / alpha, which does not cancel next to v*
+    k = rt_c * alpha
+    root_disc = (1.0 - k) * (1.0 + k) / alpha
+    gamma_star = (
+        -2.0 * sr * sigma + 8.0 * math.sqrt(alpha) * pair.E / root_disc
+    ) / root_disc
     if gamma_star <= 0.0:
         raise BracketFailure(f"prefactor degenerated at sigma={sigma}")
     combo = sr * sigma * b1 - 2.0 * _bl_eta_closed_form(alpha, c, pair)
@@ -1300,75 +1351,6 @@ def bl_ntau_evaluate(n: int, tau: float, params: ModelParams) -> LogDensityAppro
         coeff_sqrtN=-2.0 * sr * math.sqrt(c) * tau,
         coeff_N14=-sr * c**0.75 * tau - 8.0 / 3.0 * c**-0.25,
         coeff_logN=-0.625,
-        coeff_O1=coeff_o1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# matching between T2 and R3
-# ---------------------------------------------------------------------------
-
-
-def t2r3_dominance_time(xi: float, params: ModelParams) -> float:
-    """Time beyond which the slowest mode alone carries the density at xi.
-
-    t must exceed this by much more than O(N^(3/4)); the log N shift uses
-    the same (1 - sqrt(rho))^(3/4) scale as the stretched coordinate.
-    """
-    rho = params.rho
-    _require_subcritical(rho)
-    if xi <= 0.0:
-        raise InvalidInput(f"xi must be positive, got {xi}")
-    big_n = params.population
-    c = 1.0 - math.sqrt(rho)
-    shift = big_n**0.75 * math.log(big_n) / (8.0 * math.sqrt(rho) * c**0.75)
-    return big_n * critical_curves(rho).tau_star(xi) + shift
-
-
-def matching_t2r3(
-    xi: float, delta_tilde: float, params: ModelParams
-) -> LogDensityApprox:
-    """Mode-sum form bridging T2 and R3 at Delta = log(N) shift + delta_tilde.
-
-    Each series term tracks one decay mode; truncation at a term below
-    1e-16 of the partial sum.  Large negative delta_tilde makes the
-    alternating series lose all precision, hence the guard on its argument.
-    """
-    rho = params.rho
-    _require_subcritical(rho)
-    if xi <= 0.0:
-        raise InvalidInput(f"xi must be positive, got {xi}")
-    big_n = params.population
-    sr = math.sqrt(rho)
-    c = 1.0 - sr
-    delta = math.log(big_n) / (8.0 * sr * c**0.75) + delta_tilde
-    q = 32.0 * math.exp(-4.0) * c**-0.25 * math.exp(-2.0 * sr * c**0.75 * delta_tilde)
-    if q > 30.0:
-        raise OutOfRegion(
-            f"delta_tilde={delta_tilde} puts the mode sum outside its validity range"
-        )
-    total = 1.0
-    term = 1.0
-    for j in range(1, 400):
-        term *= -q / j
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            break
-    tau_st = critical_curves(rho).tau_star(xi)
-    coeff_o1 = (
-        math.log(8.0)
-        - 0.625 * math.log(c)
-        - 2.0
-        + (1.0 + sr) / (2.0 * c)
-        + math.log(r3_j_factor(xi, rho))
-        - sr * c**0.75 * delta
-        + math.log(total)
-    )
-    return LogDensityApprox(
-        coeff_N=r3_big_f(xi, rho) - c * c * tau_st - 0.5 * xi * math.log(rho),
-        coeff_N34=-c * c * delta,
-        coeff_N14=-2.0 * sr * math.sqrt(c) * delta - 8.0 / 3.0 * c**-0.25,
-        coeff_logN=-9.0 / 8.0,
         coeff_O1=coeff_o1,
     )
 

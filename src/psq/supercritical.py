@@ -138,31 +138,26 @@ def xi_tau_expansion(pt: XiTauPoint, params: ModelParams) -> SuperExpansion:
 
 
 def small_n_scale_super(n: int, tau: float, params: ModelParams) -> float:
-    """Density for n = O(1) customers at t = N tau, rho > 1.
+    """log of the density for n = O(1) customers at t = N tau, rho > 1.
 
-    The loop integral around the cut [1/rho, 1] comes from specfun.cut_integral,
-    whose recurrence runs in real floats for the real alpha0 and branch points.
+    The density is C (N (1 - e^(-rho tau)) / rho)^(-alpha0) e^(-alpha0 tau),
+    alpha0 = rho / (rho - 1), where C is the N-free algebraic tail constant
+    of `algebraic_tail_log_constant`; both are formed in log, so the value
+    stays finite as rho falls to 1, where alpha0 grows without bound.
     """
     _require_supercritical(params)
     if tau <= 0.0:
         raise InvalidInput(f"tau must be positive, got {tau}")
     rho = params.rho
     alpha0 = rho / (rho - 1.0)
-    loop = float(cut_integral(n, alpha0, 1.0 / rho, 1.0)[n])
-    prefactor = (
-        params.population ** -alpha0
-        * alpha0 ** (2.0 * alpha0 - 1.0)
-        * math.gamma(alpha0)
-        * (-math.expm1(-rho * tau)) ** -alpha0
-        * math.exp(-alpha0 * tau)
-    )
-    return prefactor * loop
+    spread = params.population * -math.expm1(-rho * tau) / rho
+    return algebraic_tail_log_constant(n, rho) - alpha0 * (math.log(spread) + tau)
 
 
 def algebraic_tail_log_constant(n: int, rho: float) -> float:
     """log C of the N-free algebraic tail p_n(t) ~ C t^(-alpha0).
 
-    Small-tau limit of the n = O(1) range formula: the population cancels
+    Small-tau limit of `small_n_scale_super`: the population cancels
     against (rho tau)^(-alpha0), leaving the infinite-model tail that the
     corner module quotes for rho > 1.  With alpha0 = rho / (rho - 1),
 

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from psq import specfun, subcritical
 from psq.exact import ModelParams
 from psq.specfun import _brentq, find_root_bracketed
-from psq.subcritical import _solve_alpha_d3, _solve_b1_direct
+from psq.subcritical import _solve_b1_direct
 
 XTOL, RTOL, MAXITER = 1e-14, 8.9e-16, 200
 
@@ -97,12 +97,12 @@ def test_find_root_bracketed_keeps_the_nan_error() -> None:
     [
         (0.05, "D1", _solve_b1_direct),
         (0.45, "D2", _solve_b1_direct),
-        (1.0, "D3", _solve_alpha_d3),
     ],
 )
 def test_layer_solves_match_scipy(monkeypatch, sigma, region, solver) -> None:
-    # each solve of the boundary-layer equations at the pinned points also
-    # runs scipy's brentq on the same memoized f, and must return its root
+    # each solve of the D1/D2 boundary-layer equation at the pinned points
+    # also runs scipy's brentq on the same memoized f, and must return its
+    # root (D3 is solved by Newton and runs no Brent)
     params = ModelParams(10**6, 0.25)
     c = 1.0 - math.sqrt(params.rho)
     assert subcritical._xsigma_region(0.5, sigma, params.rho) == region

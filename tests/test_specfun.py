@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -55,6 +56,17 @@ def test_elliptic_legendre_relation() -> None:
         q = elliptic_KE(kp)
         lhs = p.E * q.K + q.E * p.K - p.K * q.K
         assert lhs == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1.0 - 1e-6, 1.0 - 1e-9])
+def test_elliptic_near_unit_modulus(k) -> None:
+    # K ~ log(4/k') there, so k' = sqrt((1 - k)(1 + k)) must keep its relative
+    # accuracy; sqrt(1 - k^2) cost K 2.2e-11 relative at k = 1 - 1e-9
+    pair = elliptic_KE(k)
+    with mp.workdps(40):
+        m = mp.mpf(k) ** 2
+        want = (float(mp.ellipk(m)), float(mp.ellipe(m)))
+    assert (pair.K, pair.E) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_elliptic_modulus_range() -> None:
@@ -292,7 +304,7 @@ def test_newton_steps_in_log_of_the_distance_from_the_floor() -> None:
     # from the evaluation at the root
     calls: list = []
     x, out = find_root_newton(
-        _log_line(-2.0, 1e-3, calls), 50.0, -1.999, 1e6, 1e-12, floor=-2.0, rising=True
+        _log_line(-2.0, 1e-3, calls), 50.0, -1.999, 1e6, floor=-2.0, rising=True
     )
     assert x == pytest.approx(1e-3, rel=1e-15)
     assert out == (pytest.approx(0.0, abs=1e-15), 1.0 / (x + 2.0), 2.0 * x)
@@ -308,7 +320,7 @@ def test_newton_bisects_when_a_step_leaves_the_bracket() -> None:
         calls.append(x)
         return x - 0.3, -1.0
 
-    x, _ = find_root_newton(fdf, 0.5, 0.01, 1.0, 1e-9, floor=0.0, rising=True)
+    x, _ = find_root_newton(fdf, 0.5, 0.01, 1.0, floor=0.0, rising=True)
     assert x == pytest.approx(0.3, abs=1e-9)
     assert all(0.01 < v < 1.0 for v in calls)
 
@@ -316,25 +328,51 @@ def test_newton_bisects_when_a_step_leaves_the_bracket() -> None:
 def test_newton_seed_outside_the_bracket_moves_to_its_end() -> None:
     calls: list = []
     x, _ = find_root_newton(
-        _log_line(0.0, 2.0, calls), 1e9, 0.5, 8.0, 1e-12, floor=0.0, rising=True
+        _log_line(0.0, 2.0, calls), 1e9, 0.5, 8.0, floor=0.0, rising=True
     )
     assert calls[0] == 8.0
     assert x == pytest.approx(2.0, rel=1e-15)
 
 
 def test_newton_residual_check() -> None:
-    # a step function has no point where |f| <= tol
+    # a step function: the sign bracket closes on x = 0.5, but the Newton
+    # step from the point returned, 1 / x in u, is far from resolving u
     def step(x: float) -> tuple:
         return (-1.0 if x < 0.5 else 1.0), 1.0
 
-    with pytest.raises(BracketFailure):
-        find_root_newton(step, 0.9, 0.01, 1.0, 1e-10, floor=0.0, rising=True)
+    with pytest.raises(BracketFailure, match="not resolved"):
+        find_root_newton(step, 0.9, 0.01, 1.0, floor=0.0, rising=True)
+
+
+def test_newton_accepts_a_root_by_its_resolution() -> None:
+    # f = 1e9 log(x / 0.3) is up to 1e-7 at the doubles next to its root,
+    # and they resolve u = log x to 2^-52 there: accepted.  With the floor
+    # at -1 and the root 1e-9 above it, the doubles lie 1.1e-7 apart in
+    # log(x - floor), too coarse: refused, however small f is there
+    x, _ = find_root_newton(
+        lambda x: (1e9 * math.log(x / 0.3), 1e9 / x),
+        0.5,
+        0.01,
+        1.0,
+        floor=0.0,
+        rising=True,
+    )
+    assert x == pytest.approx(0.3, rel=1e-15)
+    with pytest.raises(BracketFailure, match="not resolved"):
+        find_root_newton(
+            lambda x: (math.log((x + 1.0) / 1e-9), 1.0 / (x + 1.0)),
+            -0.5,
+            -1.0 + 1e-12,
+            0.0,
+            floor=-1.0,
+            rising=True,
+        )
 
 
 def test_newton_refuses_nan() -> None:
     with pytest.raises(BracketFailure, match="nan"):
         find_root_newton(
-            lambda x: (math.nan, 1.0), 0.5, 0.1, 1.0, 1e-10, floor=0.0, rising=True
+            lambda x: (math.nan, 1.0), 0.5, 0.1, 1.0, floor=0.0, rising=True
         )
 
 

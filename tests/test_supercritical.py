@@ -129,9 +129,30 @@ def test_small_n_guards() -> None:
 
 
 def test_small_n_positive_and_real() -> None:
+    # the log of a positive real density
     params = ModelParams(10**4, 2.0)
     for n in (0, 1, 5, 40):
-        assert small_n_scale_super(n, 0.5, params) > 0.0
+        assert math.isfinite(small_n_scale_super(n, 0.5, params))
+
+
+# (rho, n, tau) at N = 1000 and the density there as the linear-space
+# product gave it; at rho = 1.01 that product overflowed in alpha0^(2 alpha0 - 1)
+_SMALL_N_LINEAR = [
+    (1.05, 0, 0.05, 1.803510123721732e36),
+    (1.05, 2, 0.5, 53259930625741.28),
+    (1.05, 5, 3.0, 4.9435097081250565e-17),
+    (1.5, 0, 0.05, 0.0011088200924987395),
+    (1.5, 2, 0.5, 1.8045867461337474e-06),
+    (1.5, 5, 3.0, 3.37671358537534e-10),
+]
+
+
+def test_small_n_in_log_form() -> None:
+    for rho, n, tau, linear in _SMALL_N_LINEAR:
+        got = small_n_scale_super(n, tau, ModelParams(1000, rho))
+        assert math.exp(got) == pytest.approx(linear, rel=1e-12, abs=0.0)
+    for n, tau in ((0, 0.05), (2, 0.5), (5, 3.0)):
+        assert math.isfinite(small_n_scale_super(n, tau, ModelParams(1000, 1.01)))
 
 
 def test_small_n_matches_xi_tau_factor() -> None:
@@ -141,7 +162,7 @@ def test_small_n_matches_xi_tau_factor() -> None:
     rho, tau, n = 2.0, 0.3, 200
     params = ModelParams(10**6, rho)
     a0 = rho / (rho - 1.0)
-    value = small_n_scale_super(n, tau, params)
+    value = math.exp(small_n_scale_super(n, tau, params))
     scaled = value * params.population**a0 * n ** (1.0 - a0)
     target = a0**a0 * (-math.expm1(-rho * tau)) ** -a0 * math.exp(-a0 * tau)
     assert abs(scaled / target - 1.0) < 0.0105
@@ -151,7 +172,7 @@ def test_small_n_long_time_slope() -> None:
     params = ModelParams(10**6, 2.0)
     taus = np.linspace(5.0, 10.0, 11)
     vals = [small_n_scale_super(2, t, params) for t in taus]
-    slope = np.polyfit(taus, np.log(vals), 1)[0]
+    slope = np.polyfit(taus, vals, 1)[0]
     assert abs(slope + 2.0) < 1e-3
 
 
@@ -160,7 +181,7 @@ def test_small_n_midrange_algebraic_tail() -> None:
     params = ModelParams(10**6, 2.0)
     ts = np.array([50.0, 100.0, 200.0])
     vals = [small_n_scale_super(2, t / params.population, params) for t in ts]
-    slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
+    slope = np.polyfit(np.log(ts), vals, 1)[0]
     assert abs(slope + 2.0) < 1e-3
 
 
