@@ -115,20 +115,18 @@ class BracketFailure(PSQError):
     """Bracketed solve did not converge; signals quadrature misconfiguration."""
 
 
-# -- transform inversion --------------------------------------------------------
+# -- the M/M/1-PS corner: transform, inversion, tail truncation ---------------
 
-class BranchCollision(PSQError):
-    """Transform evaluated at (or too close to) a branch point."""
+class TransformNotConverged(PSQError):
+    """The transform's forward-elimination sweep did not bring its remainder
+    bound below 2^-56 of its sum within infinite._SWEEP_MAX_ROWS rows past
+    the state n.  For rho > 1 each row shrinks the bound by a factor that
+    tends to 1 as Re theta -> 0 (rho = 2 at theta = 1e-6); a Bromwich ladder
+    has Re theta >= 9.2 / t, and none for t <= 80 comes near the cap."""
 
 
 class InversionUnstable(PSQError):
     """Euler-accelerated inversion terms oscillate beyond tolerance."""
-
-
-class TransformOverflow(PSQError):
-    """The transform left double range: at large n and |theta| the loop
-    ratios grow like |z_+|^n and z_-^n underflows, so the assembled p_hat is
-    not finite (n = 60 at theta = 0.5 + 1e5 i, rho = 0.5)."""
 
 
 class SearchExhausted(PSQError, ValueError):

@@ -6,7 +6,8 @@ elliptic_KE            complete elliptic integrals K, E by the AGM
 hermite_He             probabilists' Hermite polynomials
 loop_series_Q_log      log of the loop integral
                        (1/2pi i) oint z^(-n-1) (1-z)^(-1) e^(1/(1-z)) dz
-cut_integral           branch-cut loop integrals of orders 0..n by their recurrence
+cut_integral           loop integrals of orders 0..n by their recurrence, for the
+                       rho > 1 corner-tail constant
 parabolic_cylinder_H   the transition-layer integral H(Delta_1)
 harmonic               harmonic numbers
 find_root_newton       safeguarded Newton in log(x - floor) for equations whose
@@ -18,8 +19,8 @@ elementwise            a scalar function over an array, with the scalar bits
 
 Integrands
 ----------
-The quadrature kernels take an integrand f of one float that returns a float
-or a complex.  Passed vectorized=True, tanh_sinh and quad_to_infinity
+The quadrature kernels take an integrand f of one float that returns a real
+float.  Passed vectorized=True, tanh_sinh and quad_to_infinity
 instead call f with a float64 array of nodes, expecting the array of values
 that the scalar form would give element by element, bit for bit: the array
 integrands here use +, -, *, / and sqrt, which numpy rounds as `math` does,
@@ -41,12 +42,6 @@ going on with nan or inf.  Levels 0-5 that f got together are evaluated
 again one at a time after such an error, so f raises only on a level the
 stopping rule uses, as the scalar form does.  numpy also raises on inf - inf
 and 0 * inf, which Python floats turn into nan without an error.
-
-An array f may also return shape (m, k) for its m nodes, a trailing axis of
-k integrands that share the nodes, such as one per transform argument; the
-kernel then returns the k integrals as an array, each column added up in
-node order, and refines until every column meets the tolerance.  Such an f
-has no scalar form to match, so it may use numpy's pow, exp and log.
 
 Root solves
 -----------
@@ -578,7 +573,7 @@ def tanh_sinh(
     max_depth: int = 12,
     *,
     vectorized: bool = False,
-) -> float | np.ndarray:
+) -> float:
     """Level-doubling tanh-sinh rule on [a, b].
 
     Nodes x = m + c*tanh(pi/2 sinh(t)) on a dyadically refined t-mesh; stops
@@ -587,17 +582,13 @@ def tanh_sinh(
     singularities are handled by the double-exponential node clustering: f
     is never evaluated at a or b.
 
-    f takes one float and returns a float or complex.  With
+    f takes one float and returns a float.  With
     vectorized=True it instead takes a float64 array of nodes and returns
     an array of their values; it is called once for levels 0-5 and once
     per deeper level, with numpy's invalid and divide errors raised.  Each
     level's terms are summed in the same order either way, so the result is
     the same where f raises at no node the rule uses (the module docstring
     gives the cases where the two forms raise differently).
-
-    An array f may return shape (m, k) for its m nodes: k integrals over
-    the same nodes, returned as a length-k array, each column summed in node
-    order.  The rule then stops only when every column meets rel_tol.
     """
     if a == b:
         return 0.0
@@ -630,23 +621,16 @@ def tanh_sinh(
         else:
             values = np.array([f(v) for v in nodes.tolist()])
         weight = batch.weight[keep]
-        if values.ndim == 2:  # one column per integral
-            weight = weight[:, None]
         # each level's running total through its terms in node order, one
         # grid row per level: cumsum adds in that sequence, where np.sum
         # would pair terms up and move the last bits.  A dropped node's slot
         # and the padding hold +0.0, which leaves every sum as it was
         grid = np.zeros(
-            (batch.shape[0] * batch.shape[1],) + values.shape[1:],
-            dtype=np.result_type(weight, values),
+            batch.shape[0] * batch.shape[1], dtype=np.result_type(weight, values)
         )
         grid[batch.slot[keep]] = weight * values
-        rows = grid.reshape(batch.shape + values.shape[1:])
-        # in place: a second grid-sized array costs an (m, k) integrand more
-        # than the adds themselves
+        rows = grid.reshape(batch.shape)
         sums = rows.cumsum(axis=1, out=rows)[:, -1]
-        if values.ndim == 2:
-            return list(sums)
         return (0.0 + sums).tolist()  # a level of -0.0 terms sums to +0.0
 
     def all_level_sums():
@@ -670,11 +654,7 @@ def tanh_sinh(
     for _ in range(max_depth):
         total = 0.5 * total + next(sums)
         cur = c * total
-        if isinstance(cur, np.ndarray):
-            # k integrals: stop only when every one of them has converged
-            if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)):
-                return cur
-        elif abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise MaxDepthExceeded(

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
+from psq import infinite, specfun
 from psq.errors import (
-    BranchCollision,
     InvalidInput,
     NotSupercritical,
-    TransformOverflow,
+    TransformNotConverged,
 )
 from psq.infinite import (
-    TransformPoint,
     invert_density,
     tail_asym_infinite,
     tail_truncation_time,
@@ -37,15 +38,12 @@ def phat_truncated_solve(n: int, theta: complex, rho: float, size: int = 4000) -
     p_hat ~ 1/((k+2) theta), good enough at size = 4000 for 1e-12 accuracy
     at the small n used here.
     """
+    k = np.arange(size + 1)
     bands = np.zeros((3, size + 1), dtype=complex)
-    rhs = np.zeros(size + 1, dtype=complex)
-    for k in range(size + 1):
-        bands[1, k] = -(1.0 + rho + theta)
-        if k < size:
-            bands[0, k + 1] = rho
-        if k > 0:
-            bands[2, k - 1] = k / (k + 1.0)
-        rhs[k] = -1.0 / (k + 1.0)
+    bands[0, 1:] = rho
+    bands[1] = -(1.0 + rho + theta)
+    bands[2, :-1] = k[1:] / (k[1:] + 1.0)
+    rhs = -1.0 / (k + 1.0) + 0j
     rhs[size] -= rho / ((size + 2) * theta)
     return solve_banded((1, 1), bands, rhs)[n]
 
@@ -85,29 +83,59 @@ def test_transform_matches_truncated_solve() -> None:
 
 
 def test_transform_large_n_and_theta_matches_truncated_solve() -> None:
-    # the edge of the accuracy note: n = 50 at |theta| = 1e5 is still in range
+    # the sweep forms no power of a characteristic root, so n = 60 and 200
+    # at |theta| = 1e5 stay in double range, as does the inversion there
     theta = 0.5 + 1e5j
-    ref = phat_truncated_solve(50, theta, 0.5)
-    assert abs(transform_phat(50, theta, 0.5) - ref) <= 1e-11 * abs(ref)
+    for n in (50, 60, 200):
+        ref = phat_truncated_solve(n, theta, 0.5)
+        assert abs(transform_phat(n, theta, 0.5) - ref) <= 1e-13 * abs(ref), n
+    assert math.isfinite(invert_density(60, 1e-3, 0.5))
 
 
-def test_transform_overflow_raises() -> None:
-    # at n = 60 the loop ratios leave double range: an error naming the
-    # point, not a nan (nor a RuntimeWarning, an error under this suite)
-    with pytest.raises(TransformOverflow, match=r"n=60, theta=\(0\.5\+100000j\), rho=0\.5"):
-        transform_phat(60, 0.5 + 1e5j, 0.5)
-    with pytest.raises(TransformOverflow, match="n=60"):
-        invert_density(60, 1e-3, 0.5)
+def _bromwich_ladder(t: float) -> np.ndarray:
+    """The head term's theta and the ladder invert_density takes at the
+    default step."""
+    rungs = infinite._AW_BASE_BLOCKS + infinite._AW_EULER_BLOCKS
+    return infinite._AW_A / (2.0 * t) + 1j * (math.pi / t) * np.arange(rungs + 1)
 
 
-def test_vieta_identities() -> None:
-    rho = 0.5
-    pt = TransformPoint.from_theta(1.0 + 1.0j, rho)
-    assert abs(pt.z_minus * pt.z_plus - 1.0 / rho) <= 1e-12 / rho
-    total = (1.0 + rho + pt.theta) / rho
-    assert abs(pt.z_minus + pt.z_plus - total) <= 1e-12 * abs(total)
-    alpha = pt.z_plus / (pt.z_plus - pt.z_minus)
-    assert abs(pt.alpha1 - alpha) <= 1e-12 * abs(alpha)
+@settings(database=None, derandomize=True, deadline=None, max_examples=40)
+@given(
+    rho=st.floats(0.05, 3.0),
+    n=st.integers(0, 60),
+    t=st.floats(0.25, 80.0),
+)
+def test_transform_sweep_on_bromwich_ladders(rho: float, n: int, t: float) -> None:
+    ladder = _bromwich_ladder(t)
+    ref = np.array([phat_truncated_solve(n, theta, rho) for theta in ladder])
+    got = transform_phat(n, ladder, rho)
+    assert (abs(got - ref) <= 1e-13 * abs(ref)).all()
+    # after every row k, |p_hat_n - S_k| <= |P_{k+1}|, the bound the sweep
+    # stops by, with room for the rounding of the sum and of the reference
+    for rows, (total, prod) in enumerate(infinite._elimination_rows(n, ladder, rho)):
+        k = n + rows
+        partial = total / (n + 1)
+        bound = (k + 2) * abs(prod) / (n + 1)
+        assert (abs(partial - ref) <= bound + 1e-14 * abs(ref)).all(), k
+        if (bound <= 1e-3 * infinite._SWEEP_TOL * abs(ref)).all():
+            break
+    # the inversion takes no quadrature and no loop integral
+    assert not hasattr(infinite, "tanh_sinh") and not hasattr(infinite, "cut_integral")
+    refuse = mock.Mock(side_effect=AssertionError("quadrature called"))
+    with mock.patch.object(specfun, "tanh_sinh", refuse), mock.patch.object(
+        specfun, "cut_integral", refuse
+    ):
+        assert math.isfinite(invert_density(n, t, rho))
+    assert not refuse.called
+
+
+def test_transform_sweep_row_cap() -> None:
+    # for rho > 1 the remainder bound shrinks by a factor near 1 - theta
+    # per row as theta -> 0: refused at the cap, naming the point
+    with pytest.raises(
+        TransformNotConverged, match=r"n=0, theta=\(1e-06\+0j\), rho=2\.0"
+    ):
+        transform_phat(0, 1e-6, 2.0)
 
 
 def test_transform_initial_value_theorem() -> None:
@@ -134,23 +162,13 @@ def test_transform_conjugate_symmetry() -> None:
 
 
 def test_transform_point_guards() -> None:
-    with pytest.raises(ValueError):
-        TransformPoint.from_theta(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        TransformPoint.from_theta(0.0, 0.5)
-    with pytest.raises(ValueError):
-        TransformPoint(theta=1.0 + 0.0j, z_minus=0.5 + 0.0j, z_plus=3.0 + 0.0j, alpha1=1.2 + 0.0j)
+    for theta in (-0.1, 0.0, 1j, np.array([1.0, -1.0 + 2j])):
+        with pytest.raises(InvalidInput, match="Re > 0"):
+            transform_phat(0, theta, 0.5)
     with pytest.raises(ValueError):
         transform_phat(-1, 1.0, 0.5)
     with pytest.raises(ValueError):
         transform_phat(0, 1.0, -0.5)
-
-
-def test_branch_collision_on_degenerate_fields() -> None:
-    pt = TransformPoint.from_theta(1.0, 0.5)
-    near = pt.z_plus + 5e-11
-    with pytest.raises((BranchCollision, ValueError)):
-        TransformPoint(theta=pt.theta, z_minus=near, z_plus=pt.z_plus, alpha1=pt.alpha1)
 
 
 # --- inversion ---

@@ -402,25 +402,6 @@ def test_tanh_sinh_max_depth() -> None:
                   rel_tol=1e-13, max_depth=2)
 
 
-def test_tanh_sinh_columns_match_closed_forms() -> None:
-    # an array integrand of shape (m, k) gives k integrals over one node set
-    def f(v):
-        return np.stack([4.0 / (1.0 + v * v), 1.0 / np.sqrt(v), v, np.exp(1j * v)], axis=1)
-
-    got = tanh_sinh(f, 0.0, 1.0, vectorized=True)
-    want = [math.pi, 2.0, 0.5, cmath.sin(1.0) + 1j * (1.0 - math.cos(1.0))]
-    assert got.shape == (4,)
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-11 * abs(w)
-
-
-def test_tanh_sinh_columns_stop_only_when_all_converge() -> None:
-    assert tanh_sinh(lambda v: 1.0 + v, 0.0, 1.0, vectorized=True) == pytest.approx(1.5)
-    with pytest.raises(MaxDepthExceeded):
-        tanh_sinh(lambda v: np.stack([1.0 + v, 1.0 / v], axis=1), 0.0, 1.0,
-                  vectorized=True)
-
-
 def test_quad_to_infinity() -> None:
     assert quad_to_infinity(lambda v: math.exp(-v), 0.0) \
         == pytest.approx(1.0, rel=1e-12)
@@ -449,6 +430,8 @@ KERNEL_CASES = {
         0.0,
         1.0,
     ),
+    # outside the kernels' real-valued contract, but the level sums carry a
+    # complex value through the same adds
     "complex": (
         lambda v: (1.0 + 2j * v) / math.sqrt(v) / (1.0 - 1j * v),
         lambda v: (1.0 + 2j * v) / np.sqrt(v) / (1.0 - 1j * v),
@@ -468,7 +451,7 @@ def _node_by_node_tanh_sinh(f, a, b, rel_tol=1e-12, max_depth=12):
     """The kernel's rule one node at a time, the reference for its level
     sums: each level's terms added to 0.0 in node order (the midpoint, then
     each pair's upper and lower node), skipping nodes that round onto an
-    endpoint.  f returns a float, a complex or a length-k array."""
+    endpoint.  f returns a float or a complex."""
     if a > b:
         return -_node_by_node_tanh_sinh(f, b, a, rel_tol, max_depth)
     m, c = 0.5 * (a + b), 0.5 * (b - a)
@@ -490,7 +473,7 @@ def _node_by_node_tanh_sinh(f, a, b, rel_tol=1e-12, max_depth=12):
     for level in range(1, max_depth + 1):
         total = 0.5 * total + level_sum(level)
         cur = c * total
-        if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)):
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise MaxDepthExceeded("reference did not converge")
@@ -504,15 +487,6 @@ def test_tanh_sinh_array_path_same_bits(case: str) -> None:
     assert type(got) is type(want)
     assert got == want
     assert want == _node_by_node_tanh_sinh(scalar_f, a, b)
-
-
-def test_column_level_sums_match_node_by_node_reference() -> None:
-    def f(v):
-        return np.stack([1.0 / np.sqrt(v), np.exp(1j * v)], axis=1)
-
-    want = _node_by_node_tanh_sinh(lambda x: f(np.array([x]))[0], 0.0, 1.0)
-    got = tanh_sinh(f, 0.0, 1.0, vectorized=True)
-    assert (got == want).all()
 
 
 def test_quad_to_infinity_array_path_same_bits() -> None:
