@@ -83,12 +83,22 @@ def test_transform_matches_truncated_solve() -> None:
 
 
 def test_transform_large_n_and_theta_matches_truncated_solve() -> None:
-    # the sweep forms no power of a characteristic root, so n = 60 and 200
-    # at |theta| = 1e5 stay in double range, as does the inversion there
+    # the sweep forms no power of a characteristic root, so n = 200 at
+    # |theta| = 1e5 stays in double range
     theta = 0.5 + 1e5j
-    for n in (50, 60, 200):
+    for n in (50, 200):
         ref = phat_truncated_solve(n, theta, 0.5)
         assert abs(transform_phat(n, theta, 0.5) - ref) <= 1e-13 * abs(ref), n
+
+
+def test_transform_overflow_raises() -> None:
+    # n = 60 at theta = 0.5 + 1e5i, where powers of the characteristic
+    # roots leave double range: the sweep returns the banded solve's value,
+    # not an overflow, a nan or a RuntimeWarning (an error under this suite),
+    # and the inversion there is finite
+    theta = 0.5 + 1e5j
+    ref = phat_truncated_solve(60, theta, 0.5)
+    assert abs(transform_phat(60, theta, 0.5) - ref) <= 1e-13 * abs(ref)
     assert math.isfinite(invert_density(60, 1e-3, 0.5))
 
 
