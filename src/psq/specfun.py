@@ -3,6 +3,7 @@
 Contents
 --------
 elliptic_KE            complete elliptic integrals K, E by the AGM
+carlson_rf_rd          Carlson's R_F and R_D, and J, a divided difference of R_D
 hermite_He             probabilists' Hermite polynomials
 loop_series_Q_log      log of the loop integral
                        (1/2pi i) oint z^(-n-1) (1-z)^(-1) e^(1/(1-z)) dz
@@ -45,37 +46,22 @@ and 0 * inf, which Python floats turn into nan without an error.
 
 Root solves
 -----------
-An equation whose left side and its derivative come in closed form, or
-from pieces that are cheap next to a solve's other work, is solved by
-find_root_newton: the T2 layer equation, the fixed-n boundary layer on the
-sigma scale and the D3 boundary layer in `subcritical`.  Each caller starts
-from an analytic seed (for D3, the root of the same equation with its
-quadrature replaced by a 3-point Gauss rule), so a solve takes 1-5
-evaluations, and the last of them also gives the quantities the caller
-needs at the root.  The sign bracket and its bisection only guard against
-a step that leaves it; neither end is evaluated.  A root is accepted by
-how well the doubles resolve its Newton variable log(x - floor), so each
-solve's reach has one edge.
+An equation whose left side and its derivative come in closed form is
+solved by find_root_newton: the T2 layer equation, the fixed-n boundary
+layer on the sigma scale and the D2 and D3 boundary layers in
+`subcritical`, the last two on Carlson forms.  Each caller starts from an
+analytic seed, so a solve takes 1-12 evaluations, and the last of them also
+gives the quantities the caller needs at the root.  The sign bracket and
+its bisection only guard against a step that leaves it; neither end is
+evaluated.  A root is accepted by how well the doubles resolve its Newton
+variable log(x - floor), so each solve's reach has one edge.
 
-Brent serves only the D1/D2 boundary-layer equations, which are still
-integrated by quadrature and solved by find_root_bracketed.  It evaluates
-its function once per distinct argument, through a memo that lives for
-one solve.  The D1/D2 solver puts its function behind functools.cache
-before it searches for the bracket, and the root finder reads that same
-memo: the bracket ends, Brent's first calls there and the residual check
-at the root cost no second quadrature.  No root memo outlives its solve,
-so repeating a solve repeats its work.
-
-The D1/D2 solver looks for the upper bracket end on a ladder of rungs,
-each twice as far from the equation's floor as the last, and takes the
-first rung where the function is negative.  Rather than climb the ladder a
-rung at a time (30-40 rungs, one quadrature each, at the layer's smallest
-times), `subcritical._first_negative_rung` guesses the rung from the
-equation's large-argument form, corrects the guess once from the value
-found there, then gallops and bisects over the rung index.  The function's
-sign changes once along the ladder, so the search ends on the rung the
-climb would have reached, and Brent gets the same bracket and returns the
-same root, bit for bit.
+Brent serves only D1, where the layer quadratic has complex roots: its
+equation is still integrated by quadrature and solved by
+find_root_bracketed, which evaluates its function once per distinct
+argument, through a memo that lives for one solve and that the D1
+bracket search (`subcritical._first_negative_rung`, a gallop and
+bisection over a ladder of rungs) fills first.
 
 The Brent iteration is a line-for-line port of scipy's C `brentq`
 (scipy/optimize/Zeros/brentq.c, after Brent 1973, Algorithms for
@@ -155,6 +141,64 @@ def elliptic_KE(k: float) -> EllipticPair:
     return EllipticPair(K=K, E=E, tail=tail)
 
 
+def _r_series(a: float, e2: float, e3: float, e4: float, e5: float) -> float:
+    # A^a R_-a(1/2, ..., 1/2; z) with c = a + 1 to fifth order about the mean A,
+    # in the elementary symmetric functions e_k of 1 - z_j / A (DLMF 19.19)
+    return 1.0 + a * (
+        -e2 / (2.0 * a + 4.0) + e3 / (2.0 * a + 6.0)
+        + (0.375 * e2 * e2 - 0.5 * e4) / (a + 4.0) + (0.5 * e5 - 0.75 * e2 * e3) / (a + 5.0)
+    )
+
+
+def carlson_rf_rd(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """R_F(x, y, z), R_D(x, y, z) and J = int_0^inf (t + x)^(-3/2) (t + y)^(-3/2)
+    (t + z)^(-1/2) dt = (R_D(z, y, x) - R_D(z, x, y)) / (3/2 (y - x)), which
+    does not cancel at x = y.  One duplication loop (Carlson, Numer.
+    Algorithms 10 (1995) 13-26) maps each argument v to (v + lambda) / 4,
+    lambda = sqrt(xy) + sqrt(yz) + sqrt(zx), and at step m takes 4^-m 3 /
+    (sqrt(z) (z + lambda)) off R_D and, from its steps in both orders, 16^-m
+    2 (lambda + x + y + sqrt(xy)) / (sqrt(xy) (sqrt(x) + sqrt(y)) (x + lambda)
+    (y + lambda)) off J, until the triple lies within 1e-3 of its mean, inside
+    Carlson's bound (eps/4)^(1/6); fifth-order series finish all three.
+    """
+    if not all(0.0 < v < math.inf for v in (x, y, z)):
+        raise InvalidInput(f"Carlson arguments must be positive, got {(x, y, z)}")
+    rd, rj, scale = 0.0, 0.0, 1.0
+    while True:
+        mean = (x + y + z) / 3.0
+        if max(abs(x - mean), abs(y - mean), abs(z - mean)) <= 1e-3 * mean:
+            break
+        rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        rxy = rx * ry
+        lam = rxy + ry * rz + rz * rx
+        # a factor at a time, as tiny arguments would underflow their products
+        rd += scale / rz / (z + lam)
+        step = (lam + x + y + rxy) / (x + lam) / (y + lam) / (rx + ry) / rxy
+        rj += 2.0 * scale * scale * step
+        scale *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    # R_F, R_D, J are R_-a, a = 1/2, 3/2, 5/2 (J times 2/5), about (x + y + z)/3,
+    # (x + y + 3z)/5, (3x + 3y + z)/7; J's e_k from (1 - 3st)(1 + st + pt^2)^3
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy)
+    rf = _r_series(0.5, dx * dy - dz * dz, dx * dy * dz, 0.0, 0.0) / math.sqrt(mean)
+    mean = 0.2 * (x + y + 3.0 * z)
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy) / 3.0
+    xy, z2 = dx * dy, dz * dz
+    rd = 3.0 * rd + scale * _r_series(
+        1.5, xy - 6.0 * z2, (3.0 * xy - 8.0 * z2) * dz, 3.0 * (xy - z2) * z2, xy * z2 * dz
+    ) / mean / math.sqrt(mean)
+    mean = (3.0 * (x + y) + z) / 7.0
+    s, p = 2.0 - (x + y) / mean, (1.0 - x / mean) * (1.0 - y / mean)
+    s2 = s * s
+    rj += 0.4 * scale * scale * _r_series(
+        2.5, 3.0 * p - 6.0 * s2, -(3.0 * p + 8.0 * s2) * s,
+        3.0 * p * p - 15.0 * s2 * p - 3.0 * s2 * s2, -3.0 * s * p * (2.0 * p + 3.0 * s2),
+    ) / mean / mean / math.sqrt(mean)
+    return rf, rd, rj
+
+
 # ---------------------------------------------------------------------------
 # Hermite polynomials (probabilists' convention)
 # ---------------------------------------------------------------------------
@@ -202,7 +246,7 @@ def loop_series_Q_log(n: int) -> float:
 # branch-cut loop integral
 # ---------------------------------------------------------------------------
 
-def cut_integral(n: int, a, z_minus, z_plus) -> np.ndarray:
+def cut_integral(n: int, a: float, z_minus: float, z_plus: float) -> np.ndarray:
     """I_m / (2 pi i) for m = 0..n, where I_m is the loop integral
     oint z^m (z_+ - z)^(-a) (z - z_-)^(a-1) dz.
 
@@ -217,15 +261,13 @@ def cut_integral(n: int, a, z_minus, z_plus) -> np.ndarray:
 
     from I_1 = 2 pi i (a z_+ + (1-a) z_-).  Where |z_+| > |z_-| the loop
     integrals are its dominant solution, so the forward recursion is stable.
-    a, z_minus and z_plus broadcast together; the result has the order m on
-    its first axis and is real when they all are.  At coincident points it
-    is z_0^m.
+    a, z_minus and z_plus are real; the result holds the orders 0..n.  At
+    coincident points it is z_0^m.
     """
-    a, zm, zp = np.broadcast_arrays(a, z_minus, z_plus)
-    out = np.empty((n + 1,) + a.shape, dtype=np.result_type(a, zm, zp, float))
-    total = zp + zm
-    prod = zp * zm
-    first = a * zp + (1.0 - a) * zm
+    out = np.empty(n + 1)
+    total = z_plus + z_minus
+    prod = z_plus * z_minus
+    first = a * z_plus + (1.0 - a) * z_minus
     out[0] = 1.0
     if n >= 1:
         out[1] = first
@@ -407,7 +449,7 @@ _NEWTON_ULPS = 4.0
 # a root is accepted where the doubles next to it lie no further apart than
 # this in that variable
 _NEWTON_LAST_STEP = 2.0**-26
-# evaluations before a solve gives up; the layer equations take 1-5, and a
+# evaluations before a solve gives up; the layer equations take 1-12, and a
 # bracket halved this many times in log(x - floor) is narrow anyway
 _NEWTON_MAX_EVALUATIONS = 40
 
@@ -435,8 +477,10 @@ def find_root_newton(
 
     The iteration stops when an iterate would move x by at most 4 ulps of
     max(|x|, |floor|), when it lands after a step shorter than 2^-26 in u
-    (quadratic convergence puts it within rounding of the root), when no
-    double is left strictly inside the bracket, or after 40 evaluations.
+    (quadratic convergence puts it within rounding of the root) or after
+    bisecting a bracket narrower than that (where noise in f sends its steps
+    out of the bracket), when no double is left strictly inside the
+    bracket, or after 40 evaluations.
     It returns (x, fdf(x)) for the point with the smallest |f| evaluated.
 
     That point is accepted by how well it resolves u, not by the size of f,
@@ -473,7 +517,7 @@ def find_root_newton(
         last = abs(step) <= _NEWTON_LAST_STEP
         if not lo < x_next < hi:  # also a nan step
             x_next = floor + math.sqrt((lo - floor) * (hi - floor))
-            last = False
+            last = hi - floor <= (lo - floor) * (1.0 + _NEWTON_LAST_STEP)
             if not lo < x_next < hi:
                 break
         x = x_next

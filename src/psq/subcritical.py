@@ -38,6 +38,7 @@ from .errors import (
 from .exact import ModelParams
 from .specfun import (
     EllipticPair,
+    carlson_rf_rd,
     elementwise,
     elliptic_KE,
     find_root_bracketed,
@@ -812,30 +813,29 @@ def _sigma_integrand(b1: float, c: float):
     return h
 
 
-# distinct (b1, c, rel_tol) inner panels kept.  Only the left-end walk of a
-# D1/D2 solve at x > v* asks for them: 6-7 b1 values a rho (all but the last
+# distinct (b1, c) inner panels kept.  Only the left-end walk of a
+# D1 solve at x > v* asks for them: 6-7 b1 values a rho (all but the last
 # give up at max_depth), the same for every solve at that rho, so the memo
 # holds the walks of 36 or more rho values and no solve's own b1 values
 _INNER_PANEL_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_INNER_PANEL_MEMO_SIZE)
-def _sigma_inner_panel(b1: float, c: float, rel_tol: float) -> float | MaxDepthExceeded:
+def _sigma_inner_panel(b1: float, c: float) -> float | MaxDepthExceeded:
     # the panel (0, c^(-1/4)) of _bl_sigma_lhs, or the MaxDepthExceeded it
     # gave up with (created afresh, so no traceback or frame is kept); any
     # other error is not an outcome and propagates uncached
     try:
         h = _sigma_integrand(b1, c)
-        return tanh_sinh(h, 0.0, c**-0.25, rel_tol, vectorized=True)
+        return tanh_sinh(h, 0.0, c**-0.25, _EQ_QUAD_TOL, vectorized=True)
     except MaxDepthExceeded as err:
         return MaxDepthExceeded(*err.args)
 
 
-def _bl_sigma_lhs(
-    x: float, b1: float, c: float, rel_tol: float = _EQ_QUAD_TOL, shared: bool = False
-) -> float:
-    # integral of [c v + 1/v + b1]^(-1/2) over (0, x), via v = w^2.  Past the
-    # knot the inner panel is a pure function of (b1, c, rel_tol); with
+def _bl_sigma_lhs(x: float, b1: float, c: float, shared: bool = False) -> float:
+    # integral of [c v + 1/v + b1]^(-1/2) over (0, x), via v = w^2, at the
+    # layer equation's tolerance.  Past the knot the inner panel is a pure
+    # function of (b1, c); with
     # shared set it comes from _sigma_inner_panel's memo, which returns the
     # bits (or the failure) of the same quadrature run afresh, and adding
     # 0 + inner + outer is the order _split_quad's sum() takes
@@ -843,37 +843,33 @@ def _bl_sigma_lhs(
     w_mid = c**-0.25
     h = _sigma_integrand(b1, c)
     if not shared or upper_w <= w_mid:
-        return _split_quad(h, upper_w, c, rel_tol)
-    inner = _sigma_inner_panel(b1, c, rel_tol)
+        return _split_quad(h, upper_w, c, _EQ_QUAD_TOL)
+    inner = _sigma_inner_panel(b1, c)
     if isinstance(inner, MaxDepthExceeded):
         raise MaxDepthExceeded(*inner.args)
-    return 0 + inner + tanh_sinh(h, w_mid, upper_w, rel_tol, vectorized=True)
+    return 0 + inner + tanh_sinh(h, w_mid, upper_w, _EQ_QUAD_TOL, vectorized=True)
 
 
-def _bl_eta_integral(
-    upper: float, b1: float, c: float, rel_tol: float = _EVAL_QUAD_TOL
-) -> float:
+def _bl_eta_integral(upper: float, b1: float, c: float) -> float:
     # integral of sqrt(c v + 1/v + b1) over (0, upper), via v = w^2
     def h(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + b1) * w * w + 1.0
         return 2.0 * np.sqrt(q)
 
-    return _split_quad(h, math.sqrt(upper), c, rel_tol)
+    return _split_quad(h, math.sqrt(upper), c, _EVAL_QUAD_TOL)
 
 
-def _bl_gamma_integral(
-    x: float, b1: float, c: float, rel_tol: float = _EVAL_QUAD_TOL
-) -> float:
+def _bl_gamma_integral(x: float, b1: float, c: float) -> float:
     # integral of [c v + 1/v + b1]^(-3/2) over (0, x), via v = w^2
     def h(w: np.ndarray) -> np.ndarray:
         q = (c * w * w + b1) * w * w + 1.0
         return 2.0 * elementwise(operator.pow, w, 4) / elementwise(operator.pow, q, 1.5)
 
-    return _split_quad(h, math.sqrt(x), c, rel_tol)
+    return _split_quad(h, math.sqrt(x), c, _EVAL_QUAD_TOL)
 
 
-def _gamma_prefactor(x: float, b1: float, rho: float, c: float) -> float:
-    q_over_v = c * x + 1.0 / x + b1
+def _gamma_prefactor(x: float, q_over_v: float, rho: float, c: float) -> float:
+    # q_over_v = c x + 1/x + b1, the layer quadratic over v at v = x
     return (
         math.sqrt(2.0)
         / c
@@ -922,141 +918,106 @@ def _fixed_n_lhs(alpha: float, c: float) -> tuple[float, float, EllipticPair]:
     return lhs, slope, pair
 
 
-# 3-point Gauss-Legendre nodes on (0, 1) with their weights
-_GAUSS3 = (
-    (0.5 - 0.5 * math.sqrt(0.6), 5.0 / 18.0),
-    (0.5, 4.0 / 9.0),
-    (0.5 + 0.5 * math.sqrt(0.6), 5.0 / 18.0),
-)
+def _real_root_integrals(x: float, delta: float, c: float) -> tuple[float, float, float, float]:
+    """P, Gamma, eta(x) and q(x)/x in closed form where q(v) = c v^2 + b1 v + 1
+    has the real roots alpha = x + delta and beta = 1/(c alpha): with a =
+    delta/alpha, b = 1 - c alpha x, v = x / (t + 1) makes the integrals over
+    (0, x) of q = (1 - v/alpha)(1 - v/beta)
 
+        P     = int sqrt(v / q) dv    = (2/3) x^(3/2) R_D(a, b, 1)
+        I0    = int (v q)^(-1/2) dv   = 2 sqrt(x) R_F(a, b, 1)
+        Gamma = int (v / q)^(3/2) dv  = x^(5/2) J(a, b; 1)
+        eta   = int sqrt(q / v) dv    = (2 I0 + b1 P + 2 sqrt(x q(x))) / 3,
 
-def _d3_reflected(x: float, alpha: float, c: float) -> tuple[float, float]:
-    """R, the integral of [c v + 1/v + b1]^(-1/2) over (x, alpha) at
-    b1 = -(c alpha + 1/alpha), and dR/dalpha, from a 3-point Gauss rule.
-
-    With v = alpha sin^2 t, R is 2 alpha^(3/2) times the integral of
-    sin^2 t (1 - k^2 sin^2 t)^(-1/2) over (phi, pi/2), k^2 = c alpha^2,
-    phi = asin(sqrt(x / alpha)), whose integrand has no end singularity.
-    The rule keeps R's sqrt(alpha - x) start at the D2/D3 curve exactly,
-    and on the benchmark's D3 points puts the root of F + R = target within
-    2.5e-4 of the true one in log(alpha - x).
+    eta by parts, all from one `carlson_rf_rd`.  Neither a nor b = (1 - k^2)
+    + c alpha delta cancels, and J keeps its accuracy where alpha meets beta.
     """
-    k2 = c * alpha * alpha
-    width = math.atan(math.sqrt((alpha - x) / x))  # pi/2 - phi
-    # the rule's sum and its derivatives in width and k^2, node by node
-    total = by_width = by_k2 = 0.0
-    for node, weight in _GAUSS3:
-        t = 0.5 * math.pi - width * node
-        s2 = math.sin(t) ** 2
-        q = 1.0 - k2 * s2
-        total += weight * s2 / math.sqrt(q)
-        by_width -= weight * node * math.sin(2.0 * t) * (1.0 - 0.5 * k2 * s2) / q**1.5
-        by_k2 += weight * 0.5 * s2 * s2 / q**1.5
-    scale = 2.0 * alpha**1.5
-    rest = scale * width * total
-    # d width / d alpha = sqrt(x / (alpha - x)) / (2 alpha)
-    dwidth = math.sqrt(x / (alpha - x)) / (2.0 * alpha)
-    slope = 1.5 * rest / alpha + scale * (
-        dwidth * (total + width * by_width) + 2.0 * k2 / alpha * width * by_k2
-    )
-    return rest, slope
+    alpha = x + delta
+    k = math.sqrt(c) * alpha
+    a = delta / alpha
+    b = (1.0 - k) * (1.0 + k) + c * alpha * delta
+    rf, rd, rj = carlson_rf_rd(a, b, 1.0)
+    root_x = math.sqrt(x)
+    p = 2.0 / 3.0 * x * root_x * rd
+    b1 = -(c * alpha + 1.0 / alpha)
+    eta = (4.0 * root_x * rf + b1 * p + 2.0 * root_x * math.sqrt(a * b)) / 3.0
+    return p, x * x * root_x * rj, eta, a * b / x
 
 
-def _solve_alpha_d3(
-    x: float, sigma: float, rho: float, c: float
-) -> tuple[float, EllipticPair, float]:
-    """The root alpha in (x, v*) of the D3 layer equation, with the
-    elliptic_KE pair and the prefactor integral at it.
+def _solve_alpha(
+    x: float, sigma: float, rho: float, c: float, region: str
+) -> tuple[float, tuple[float, float, float, float], EllipticPair | None]:
+    """The root alpha in (x, v*] of the D2 layer equation P = 2 sqrt(rho)
+    sigma or the D3 one 2F - P = 2 sqrt(rho) sigma, F = `_fixed_n_lhs`, with
+    the `_real_root_integrals` at it and, in D3, its elliptic_KE pair.
 
-    The equation is the integral of [c v + 1/v + b1]^(-1/2) over (x, alpha)
-    plus that over (0, alpha), at b1 = -(c alpha + 1/alpha), equal to
-    2 sqrt(rho) sigma: 2F - P with F = `_fixed_n_lhs` and P = `_bl_sigma_lhs`
-    over (0, x).  P depends on alpha only through b1, so
-    dP/dalpha = -(1/2) `_bl_gamma_integral` db1/dalpha, and that integral is
-    the one the prefactor needs at the root.  The left side rises from the
-    D2/D3 curve value F(x) at alpha = x to +inf at v*.
-
-    Newton steps in log(alpha - x), 2-3 evaluations on the benchmark's
-    points, from the root of F + R = target with R from `_d3_reflected`,
-    itself found by Newton from where F + R = F(x) + 2 x sqrt((alpha - x) /
-    (1 - c x^2)) + O(alpha - x) puts it next to the D2/D3 curve, at most
-    halfway to v*.  Where the prefactor integral gives up at an iterate,
-    that step takes the slope of F + R instead.  Next to the D2/D3 curve,
-    where alpha - x is too small for the doubles to resolve, or for the
-    quadratures, which spike at v = x, to converge at the root,
-    CurveSingularity is raised.
+    Newton steps in log(delta), delta = alpha - x, with dP/dalpha = -Gamma
+    (1 - k^2) / (2 alpha^2), from where both sides, F(x) -+ 2 x sqrt(delta /
+    (1 - c x^2)) next to the D2/D3 curve, meet the target.  P is flat at v*,
+    the D1/D2 curve, so D2 solves sqrt(P - P(v*)) = sqrt(target - P(v*)),
+    seeded from P - P(v*) = c^(3/2) Gamma(v*) (v* - alpha)^2 / 2 where that is
+    nearer v*.  At most 12 Newton evaluations.  sigma within 4 ulps of the
+    D1/D2 curve gives v* itself; within about 5e-10 relative of the D2/D3
+    curve, where its rounding no longer fixes the root, and up to a few 1e-9
+    where the doubles do not resolve delta, CurveSingularity is raised.
     """
     target = 2.0 * math.sqrt(rho) * sigma
-    vstar = c**-0.5
+    rt_c = math.sqrt(c)
+    span = c**-0.5 - x
 
-    def curve_singularity() -> CurveSingularity:
-        return CurveSingularity(
-            f"point x={x}, sigma={sigma} sits too close to the D2/D3 curve "
-            "for the layer root or its quadratures"
-        )
+    unresolved = f"x={x}, sigma={sigma} is too close to the D2/D3 curve to resolve its root"
+    gap = 0.5 * abs(target - _fixed_n_lhs(x, c)[0])
+    if gap < 2.0**20 * math.ulp(target):
+        raise CurveSingularity(unresolved)
+    seed = min(gap * gap * (1.0 - c * x * x) / (x * x), 0.5 * span)
+    hi = c**-0.5 * (1.0 - 2.0**-50) - x  # D3's elliptic_KE needs k < 1
+    if region == "D2":
+        top = _real_root_integrals(x, span, c)  # at the double root v*
+        rise = target - top[0]
+        if rise <= 4.0 * math.ulp(target):
+            return c**-0.5, top, None
+        root_rise = math.sqrt(rise)
+        seed = max(seed, span - root_rise / math.sqrt(0.5 * c * rt_c * top[1]))
+        hi = span
 
-    def model(alpha: float) -> tuple[float, float]:
-        full, full_slope, _ = _fixed_n_lhs(alpha, c)
-        rest, rest_slope = _d3_reflected(x, alpha, c)
-        return full + rest - target, full_slope + rest_slope
-
-    def fdf(alpha: float) -> tuple[float, float, EllipticPair, float]:
-        b1 = -(c * alpha + 1.0 / alpha)
+    def fdf(delta: float) -> tuple:
+        integrals = _real_root_integrals(x, delta, c)
+        p, gamma_int = integrals[:2]
+        alpha = x + delta
+        k = rt_c * alpha
+        slope = -0.5 * gamma_int * (1.0 - k) * (1.0 + k) / (alpha * alpha)
+        if region == "D2":
+            lift = math.sqrt(max(p - top[0], 0.0))
+            slope = slope / (2.0 * lift) if lift else math.nan
+            return lift - root_rise, slope, integrals, None
         full, full_slope, pair = _fixed_n_lhs(alpha, c)
-        try:
-            part = _bl_sigma_lhs(x, b1, c)
-        except MaxDepthExceeded as err:
-            raise curve_singularity() from err
-        try:
-            # at the equation's tolerance: next to the curve, where the
-            # quadrature is hardest, the rounding of alpha - x alone moves
-            # it by more than that
-            gamma_int = _bl_gamma_integral(x, b1, c, _EQ_QUAD_TOL)
-        except MaxDepthExceeded:
-            gamma_int = math.nan
-            slope = model(alpha)[1]
-        else:
-            k = math.sqrt(c) * alpha
-            # db1/dalpha = 1/alpha^2 - c = (1 - k^2) / alpha^2
-            db1 = (1.0 - k) * (1.0 + k) / (alpha * alpha)
-            slope = 2.0 * full_slope + 0.5 * gamma_int * db1
-        return 2.0 * full - part - target, slope, pair, gamma_int
+        return 2.0 * full - p - target, 2.0 * full_slope - slope, integrals, pair
 
-    gap = 0.5 * (target - _fixed_n_lhs(x, c)[0])
-    offset = gap * gap * (1.0 - c * x * x) / (x * x)
-    lo = math.nextafter(x, math.inf)
     try:
-        seed, _ = find_root_newton(
-            model, min(x + offset, 0.5 * (x + vstar)), lo, vstar, floor=x, rising=True
+        delta, (_, _, integrals, pair) = find_root_newton(
+            fdf, seed, math.nextafter(0.0, 1.0), hi, floor=0.0, rising=region == "D3"
         )
-        alpha, (_, _, pair, gamma_int) = find_root_newton(
-            fdf, seed, lo, vstar, floor=x, rising=True
-        )
-    except BracketFailure as err:  # alpha - x is not resolved
-        raise curve_singularity() from err
-    if math.isnan(gamma_int):
-        raise curve_singularity()
-    return alpha, pair, gamma_int
+    except BracketFailure as err:
+        raise CurveSingularity(unresolved) from err
+    return x + delta, integrals, pair
 
 
 def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
-    # single-branch solve of the layer equation over b1 in (floor, inf);
-    # covers D1 and D2, whose shared equation is monotone decreasing in b1
+    """b1 of the D1 layer equation, decreasing in b1 on (floor, inf), by Brent
+    over quadrature (D2 and D3 are solved by `_solve_alpha`).  For x >= v*
+    the floor and the left-end walk's b1 values depend on rho alone, so the
+    walk takes its inner panels (0, c^(-1/4)) from _bl_sigma_lhs's shared
+    memo, with the bits a fresh quadrature gives; the rungs' and Brent's b1
+    values integrate both panels afresh, leaving the memo to the walks."""
     target = 2.0 * math.sqrt(rho) * sigma
     vstar = c**-0.5
-    # for x >= v* the floor, and with it the left-end walk's b1 values and
-    # the inner panels (0, c^(-1/4)) they need, depend on rho alone: the walk
-    # takes those panels from _bl_sigma_lhs's shared memo, with the bits a
-    # fresh quadrature gives.  The rungs' and Brent's b1 values belong to
-    # this solve alone and integrate both panels afresh, leaving the memo
-    # to the walks
     floor = -2.0 * math.sqrt(c) if x >= vstar else -(c * x + 1.0 / x)
     walking = True
 
     @functools.cache  # one memo for the bracket search and the root solve
     def g(b1: float) -> float:
         try:
-            return _bl_sigma_lhs(x, b1, c, _EQ_QUAD_TOL, walking) - target
+            return _bl_sigma_lhs(x, b1, c, walking) - target
         except MaxDepthExceeded:
             return math.inf
 
@@ -1068,13 +1029,6 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
             break
         lo = floor + (lo - floor) * 4.0
         g_lo = g(lo)
-    # near the D2/D3 curve the root hugs the floor quadratically in the
-    # curve offset, so walk the seed down before declaring no root
-    shrink = 0
-    while math.isfinite(g_lo) and g_lo <= 0.0 and shrink < 3:
-        lo = floor + (lo - floor) * 1e-2
-        g_lo = g(lo)
-        shrink += 1
     if not math.isfinite(g_lo) or g_lo <= 0.0:
         raise RootNotBracketed(
             f"layer equation has no solution on this branch at x={x}, sigma={sigma}"
@@ -1117,8 +1071,10 @@ def bl_xsigma_evaluate(
     Splits into sub-regions D1/D2/D3 by the separating curves; raises
     CurveSingularity within 1e-6 of the shared vertical asymptote
     x = (1 - sqrt(rho))^(-1/2), where the region decision degenerates, and
-    next to the D2/D3 curve, where the prefactor quadratures give up.  D3
-    is solved by Newton (`_solve_alpha_d3`), D1 and D2 by Brent.
+    within a few 1e-9 relative of the D2/D3 curve, where the doubles no
+    longer resolve the root.  D2 and D3, where the layer quadratic has real
+    roots, are solved by Newton on the Carlson forms of `_solve_alpha`, with
+    no quadrature; D1 by Brent over tanh-sinh quadrature.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -1134,40 +1090,38 @@ def bl_xsigma_evaluate(
             f"x={x} is within 1e-6 of the separating ray {vstar:.8f}"
         )
     region = _xsigma_region(x, sigma, rho)
-    if region == "D3":
-        alpha, pair, gamma_int = _solve_alpha_d3(x, sigma, rho, c)
-        k = math.sqrt(c) * alpha
-        beta = 1.0 / (c * alpha)
-        b1 = -(c * alpha + 1.0 / alpha)
-        eta_alpha = _bl_eta_closed_form(alpha, c, pair)
-        eta = b1 * sr * sigma + _bl_eta_integral(x, b1, c) - 2.0 * eta_alpha
-        # the elliptic correction -2 sqrt(2) sqrt(-b1 + d) (d K + b1 E) / (c d^2),
-        # d = sqrt(b1^2 - 4c) = (1 - k^2) / alpha, is 6 alpha^2 eta_alpha / (1 - k^2)^2:
-        # its sum d K + b1 E = -3 k^2 eta_alpha / (2 alpha^(3/2)) cancels at
-        # small k, and d itself next to v*, where eta_alpha does neither
-        gamma0 = 6.0 * eta_alpha * (alpha / ((1.0 - k) * (1.0 + k))) ** 2
-        gamma = _gamma_prefactor(x, b1, rho, c) * (gamma_int + gamma0) ** -0.5
-    else:
+    gamma0 = 0.0
+    if region == "D1":
         b1 = _solve_b1_direct(x, sigma, rho, c)
-        disc = b1 * b1 - 4.0 * c
-        if disc > 0.0 and b1 < 0.0:
-            alpha = (-b1 - math.sqrt(disc)) / (2.0 * c)
-            beta = (-b1 + math.sqrt(disc)) / (2.0 * c)
-        else:
-            alpha = math.nan
-            beta = math.nan
+        alpha = beta = math.nan  # the roots are complex
         eta = b1 * sr * sigma - _bl_eta_integral(x, b1, c)
-        gamma0 = 0.0
         try:
             gamma = (
-                _gamma_prefactor(x, b1, rho, c)
+                _gamma_prefactor(x, c * x + 1.0 / x + b1, rho, c)
                 * _bl_gamma_integral(x, b1, c) ** -0.5
             )
         except MaxDepthExceeded as err:
             raise CurveSingularity(
-                f"point x={x}, sigma={sigma} sits too close to the D2/D3 "
-                "curve for the prefactor quadrature"
+                f"point x={x}, sigma={sigma}: the D1 prefactor quadrature gave up"
             ) from err
+    else:
+        alpha, (_, gamma_int, eta_x, q_over_x), pair = _solve_alpha(
+            x, sigma, rho, c, region
+        )
+        beta = 1.0 / (c * alpha)
+        b1 = -(c * alpha + 1.0 / alpha)
+        if region == "D2":
+            eta = b1 * sr * sigma - eta_x
+        else:
+            k = math.sqrt(c) * alpha
+            eta_alpha = _bl_eta_closed_form(alpha, c, pair)
+            eta = b1 * sr * sigma + eta_x - 2.0 * eta_alpha
+            # the elliptic correction -2 sqrt(2) sqrt(-b1 + d) (d K + b1 E) / (c d^2),
+            # d = sqrt(b1^2 - 4c) = (1 - k^2) / alpha, is 6 alpha^2 eta_alpha / (1 - k^2)^2:
+            # its sum d K + b1 E = -3 k^2 eta_alpha / (2 alpha^(3/2)) cancels at
+            # small k, and d itself next to v*, where eta_alpha does neither
+            gamma0 = 6.0 * eta_alpha * (alpha / ((1.0 - k) * (1.0 + k))) ** 2
+        gamma = _gamma_prefactor(x, q_over_x, rho, c) * (gamma_int + gamma0) ** -0.5
     sol = XsigmaSolution(
         x=x,
         sigma=sigma,

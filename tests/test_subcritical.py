@@ -1,8 +1,8 @@
 """Direct tests of the rho < 1 boundary-layer quadratures and the T2 layer.
 
-The boundary-layer values were recorded from the scalar-integrand
-quadrature that preceded the array integrands, and are compared with ==:
-the array path must reproduce those bits, not just approximate them.  There
+The D1 layer integrals were recorded from the scalar-integrand quadrature
+that preceded the array integrands, and are compared with ==: the array
+path must reproduce those bits, not just approximate them.  There
 rho = 0.25, so c = 1 - sqrt(rho) = 0.5 and the layer quadratic's knot sits
 at w = c^(-1/4) = 1.189 (v = 1.414).
 
@@ -18,27 +18,29 @@ the parameter range by a hypothesis property test, and both run with the
 Brent, ladder and quadrature kernels made to raise.  Their reach has one
 edge each, and the fixed-n density next to v* matches 50-digit mpmath.
 
-The D3 layer equation 2F - P is solved by Newton too, on the closed-form F
-and the D1/D2 quadrature P: its roots, its value and slope, and its
-elliptic prefactor correction are checked against 40-digit mpmath, and a
-hypothesis property test over D3 at N = 10^6 asks for a finite density in
-at most 4 evaluations, or CurveSingularity.  Its recorded Brent roots and
-one evaluated point still hold to a few ulps, and it runs no bracket search.
+The D2 and D3 layer equations, P and 2F - P, are solved by Newton too, on
+the Carlson forms of their integrals: those integrals against 40-digit
+mpmath next to both curves, the D3 roots, values and slopes and its
+elliptic prefactor correction against 40-digit mpmath, and the D2 and D3
+densities against 50-digit solves of the Legendre forms.  A hypothesis
+property test over D2 and D3 at N = 10^6, drawn towards both curves, asks
+for a finite density in at most 12 evaluations and no quadrature or
+bracket search, or CurveSingularity next to the D2/D3 curve.  Their
+recorded Brent roots and evaluated points still hold to a few ulps.
 
 Also here: `classify` gives every (n, t) one label (a hypothesis property
-test); each D1/D2 root solve evaluates its layer equation once per distinct
+test); each D1 root solve evaluates its layer equation once per distinct
 argument; the upper bracket end's ladder search returns the rung a
 rung-by-rung walk finds (a hypothesis property test) in few evaluations,
-and the layer roots keep their recorded bits; the bounded memo of the
+and the D1 roots keep their recorded bits; the bounded memo of the
 layer equation's inner panel gives the bits of a fresh quadrature, replays
 its MaxDepthExceeded, spares later solves at one rho their left-end walk
 and holds nothing but the walks; bad caller input raises
 InvalidInput; the eigenvalue expansion converges to the exact spectrum at
 its predicted order, and the mode-0 spectral coefficient to the exact c_0;
 the eigenvector expansion stays finite, in log form, past double range;
-the layer is continuous across the D2/D3 curve at x = 0.5 and 0.8; and the
-seams and defects that ROADMAP items 2 and 3 are to mend stand as strict
-xfails.
+the layer is continuous across the D2/D3 curve, down to 1e-6 relative of
+it; and the defects that ROADMAP item 2 is to mend stand as strict xfails.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ from psq.subcritical import (
     _bl_gamma_integral,
     _bl_sigma_lhs,
     _fixed_n_lhs,
-    _solve_alpha_d3,
+    _real_root_integrals,
+    _solve_alpha,
     _solve_b1_direct,
     _t2_integrals,
     bl_nsigma_evaluate,
@@ -140,12 +143,12 @@ def test_layer_integral_below_its_floor_raises() -> None:
     ],
 )
 def test_bl_xsigma_pinned(x, sigma, region, b1, eta, gamma, log_p) -> None:
-    # D3 was recorded from a Brent solve of the reflected quadrature; its
-    # Newton solve and closed-form eta term keep within a few ulps of it
+    # D2 and D3 were recorded from Brent solves over quadratures; their
+    # Newton solves on the Carlson forms keep within a few ulps of them
     sol, approx = bl_xsigma_evaluate(x, sigma, PARAMS)
     assert sol.region == region
     got = (sol.b1, sol.eta, sol.gamma, approx.log_value(PARAMS.population))
-    if region == "D3":
+    if region != "D1":
         assert got == pytest.approx((b1, eta, gamma, log_p), rel=1e-14, abs=0.0)
     else:
         assert got == (b1, eta, gamma, log_p)
@@ -286,13 +289,13 @@ def _counting(monkeypatch, name: str) -> Counter:
     "sigma, region, solver, layer",
     [
         (0.05, "D1", _solve_b1_direct, "_bl_sigma_lhs"),
-        (0.45, "D2", _solve_b1_direct, "_bl_sigma_lhs"),
+        (0.2, "D1", _solve_b1_direct, "_bl_sigma_lhs"),
     ],
 )
 def test_layer_root_solve_evaluates_each_argument_once(
     monkeypatch, sigma, region, solver, layer
 ) -> None:
-    # the D1/D2 bracket search, Brent's first calls at the ends and the
+    # the D1 bracket search, Brent's first calls at the ends and the
     # residual check at the root share one memo, so no quadrature is repeated
     x, rho = 0.5, PARAMS.rho
     assert subcritical._xsigma_region(x, sigma, rho) == region
@@ -317,9 +320,9 @@ def test_root_memo_lives_for_one_solve(monkeypatch) -> None:
     # a second solve of the same point evaluates again: nothing is kept
     # between solves
     seen = _counting(monkeypatch, "_bl_sigma_lhs")
-    first = _solve_b1_direct(0.5, 0.45, PARAMS.rho, C)
+    first = _solve_b1_direct(0.5, 0.2, PARAMS.rho, C)
     calls = sum(seen.values())
-    assert _solve_b1_direct(0.5, 0.45, PARAMS.rho, C) == first
+    assert _solve_b1_direct(0.5, 0.2, PARAMS.rho, C) == first
     assert sum(seen.values()) == 2 * calls
 
 
@@ -345,7 +348,7 @@ def test_layer_root_solve_finds_the_bracket_in_few_evaluations(
 # D1/D2 roots b1 and D3 roots alpha over rho in {0.25, 0.75}, x on both
 # sides of v* = c^(-1/2) and sigma in [1e-5, 10] (each D2 sigma between its
 # two curves), recorded as float hex from the rung-by-rung bracket search;
-# D3 is now solved by Newton, within a few ulps of those roots
+# D2 and D3 are now solved by Newton, within a few ulps of those roots
 LAYER_ROOTS = [
     (0.25, 0.3, 1e-05, "D1", "0x1.ad2745ef6c153p+29"),
     (0.25, 0.3, 0.01, "D1", "0x1.b7d96c55aff15p+9"),
@@ -384,11 +387,12 @@ LAYER_ROOTS = [
 def test_layer_roots_pinned(rho, x, sigma, region, root) -> None:
     c = 1.0 - math.sqrt(rho)
     assert subcritical._xsigma_region(x, sigma, rho) == region
-    if region == "D3":
-        alpha = _solve_alpha_d3(x, sigma, rho, c)[0]
-        assert alpha == pytest.approx(float.fromhex(root), rel=4e-15, abs=0.0)
-    else:
+    if region == "D1":
         assert _solve_b1_direct(x, sigma, rho, c) == float.fromhex(root)
+        return
+    alpha = _solve_alpha(x, sigma, rho, c, region)[0]
+    got = alpha if region == "D3" else -(c * alpha + 1.0 / alpha)
+    assert got == pytest.approx(float.fromhex(root), rel=4e-15, abs=0.0)
 
 
 @st.composite
@@ -867,7 +871,12 @@ def test_closed_form_layers_run_no_bracket_search_or_quadrature(monkeypatch) -> 
     for sigma in (3e-4, 0.05, 1.0, 4.0):
         approx = bl_nsigma_evaluate(3, sigma, PARAMS)
         assert math.isfinite(approx.log_value(PARAMS.population))
-    # the D1/D2/D3 layer still goes through them
+    # D2 and D3 at x = 0.5 and 1.2 (the D3 points as in D3_POINTS); D1
+    # still goes through them
+    for x, sigma in ((0.5, 0.45), (0.5, 1.0), (1.2, 3.5), (1.2, 3.9)):
+        assert subcritical._xsigma_region(x, sigma, PARAMS.rho) != "D1"
+        _, approx = bl_xsigma_evaluate(x, sigma, PARAMS)
+        assert math.isfinite(approx.log_value(PARAMS.population))
     with pytest.raises(AssertionError, match="closed-form"):
         bl_xsigma_evaluate(0.5, 0.05, PARAMS)
 
@@ -965,8 +974,50 @@ def test_bl_nsigma_next_to_vstar_matches_mpmath(sigma) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the D3 layer: Newton on 2F - P
+# the D2 and D3 layers: Newton on P and 2F - P in Carlson form
 # ---------------------------------------------------------------------------
+
+
+def _mp_real_root_integrals(x, delta, c) -> tuple:
+    """P, Gamma, eta(x) and q(x)/x of `_real_root_integrals` in 40 digits from
+    the Legendre forms: with v = alpha sin^2 t, P is the incomplete elliptic
+    integral F - E in k^2 = c alpha^2 up to phi = asin(sqrt(x / alpha)),
+    Gamma = -2 alpha^2 / (1 - k^2) dP/dalpha at fixed x, and eta a smooth
+    quadrature over (0, phi)."""
+    with mp.workdps(40):
+        x, c = mp.mpf(x), mp.mpf(c)
+        alpha = x + mp.mpf(delta)
+
+        def part(al):
+            m = c * al * al
+            phi = mp.asin(mp.sqrt(x / al))
+            return 2 * al ** mp.mpf(1.5) / m * (mp.ellipf(phi, m) - mp.ellipe(phi, m))
+
+        m = c * alpha * alpha
+        phi = mp.asin(mp.sqrt(x / alpha))
+        gamma_int = -2 * alpha**2 / (1 - m) * mp.diff(part, alpha)
+        eta = 2 * mp.sqrt(alpha) * mp.quad(
+            lambda t: mp.cos(t) ** 2 * mp.sqrt(1 - m * mp.sin(t) ** 2), [0, phi]
+        )
+        q_over_x = (1 - x / alpha) * (1 - c * alpha * x) / x
+        return tuple(float(v) for v in (part(alpha), gamma_int, eta, q_over_x))
+
+
+def _real_root_cases():
+    for rho in (0.25, 0.75):
+        c = 1.0 - math.sqrt(rho)
+        vstar = c**-0.5
+        for x in (0.01, 0.3, 0.9 * vstar):
+            # next to the D2/D3 curve, mid-range, and next to v*, where
+            # alpha and beta meet and the R_D difference form of Gamma cancels
+            for delta in (1e-9 * x, 0.5 * (vstar - x), 0.999 * vstar - x):
+                yield pytest.param(x, delta, c, id=f"rho{rho}-x{x:.3g}-d{delta:.3g}")
+
+
+@pytest.mark.parametrize("x, delta, c", list(_real_root_cases()))
+def test_real_root_integrals_match_mpmath(x, delta, c) -> None:
+    got = _real_root_integrals(x, delta, c)
+    assert got == pytest.approx(_mp_real_root_integrals(x, delta, c), rel=6e-15, abs=0.0)
 
 
 def _mp_d3_lhs(x, alpha, c):
@@ -998,7 +1049,7 @@ D3_POINTS = [
 def test_d3_root_matches_mpmath(rho, x, sigma) -> None:
     c = 1.0 - math.sqrt(rho)
     assert subcritical._xsigma_region(x, sigma, rho) == "D3"
-    alpha = _solve_alpha_d3(x, sigma, rho, c)[0]
+    alpha = _solve_alpha(x, sigma, rho, c, "D3")[0]
     with mp.workdps(40):
         c_mp = 1 - mp.sqrt(mp.mpf(rho))
         target = 2 * mp.sqrt(mp.mpf(rho)) * mp.mpf(sigma)
@@ -1023,15 +1074,15 @@ def test_d3_root_matches_mpmath(rho, x, sigma) -> None:
     ],
 )
 def test_d3_equation_matches_mpmath(rho, x, alpha) -> None:
-    # 2F - P from the closed-form F and the quadrature P, and its slope
+    # 2F - P from the closed forms of F and P, and its slope
     # 2F' + (1/2) Gamma (1 - k^2) / alpha^2 with Gamma the prefactor integral
     c = 1.0 - math.sqrt(rho)
-    b1 = -(c * alpha + 1.0 / alpha)
     full, full_slope, _ = _fixed_n_lhs(alpha, c)
-    got = 2.0 * full - _bl_sigma_lhs(x, b1, c)
+    part, gamma_int, _, _ = _real_root_integrals(x, alpha - x, c)
+    got = 2.0 * full - part
     k = math.sqrt(c) * alpha
     db1 = (1.0 - k) * (1.0 + k) / alpha**2
-    slope = 2.0 * full_slope + 0.5 * _bl_gamma_integral(x, b1, c) * db1
+    slope = 2.0 * full_slope + 0.5 * gamma_int * db1
     with mp.workdps(40):
         c_mp = 1 - mp.sqrt(mp.mpf(rho))
         want = _mp_d3_lhs(mp.mpf(x), mp.mpf(alpha), c_mp)
@@ -1060,41 +1111,131 @@ def test_d3_gamma0_closed_form(rho, x, sigma) -> None:
 
 
 @st.composite
-def _d3_points(draw):
-    """(rho, x, sigma) in D3 at N = 10^6 with sigma <= 4, the sigma layer's
-    end: x in [0.009, v*) (n >= 9), and sigma past the D2/D3 curve by a
-    fraction of the way to 4 drawn log-uniformly down to 1e-14."""
+def _d2_d3_points(draw):
+    """(rho, x, sigma) in D2 or D3 at N = 10^6 with sigma <= 4, the sigma
+    layer's end: x in [0.009, v*) (n >= 9), and sigma drawn towards one of
+    the curves, up from the D1/D2 curve or down to or up from the D2/D3
+    curve, by a fraction of the way to the next curve or to 4 drawn
+    log-uniformly down to 1e-14."""
     rho = draw(st.sampled_from([0.25, 0.75]))
     vstar = (1.0 - math.sqrt(rho)) ** -0.5
     x = draw(st.floats(0.009, vstar - 1e-6))
-    curve = d2d3_curve_sigma(x, rho)
-    assume(curve < 4.0)
-    sigma = curve + (4.0 - curve) * 10.0 ** draw(st.floats(-14.0, 0.0))
-    assume(subcritical._xsigma_region(x, sigma, rho) == "D3")
+    low, mid = d1d2_curve_sigma(x, rho), d2d3_curve_sigma(x, rho)
+    assume(low < 4.0)
+    fraction = 10.0 ** draw(st.floats(-14.0, 0.0))
+    side = draw(st.sampled_from(["up from D1/D2", "down to D2/D3", "up from D2/D3"]))
+    if side == "up from D1/D2":
+        sigma = low + (min(mid, 4.0) - low) * fraction
+    elif side == "down to D2/D3":
+        sigma = mid - (mid - low) * fraction
+    else:
+        assume(mid < 4.0)
+        sigma = mid + (4.0 - mid) * fraction
+    assume(subcritical._xsigma_region(x, sigma, rho) != "D1")
     return rho, x, sigma
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=200)
-@given(_d3_points())
-def test_d3_gives_a_density_or_curve_singularity(point) -> None:
-    # CurveSingularity is the only D3 failure the benchmark knows; a solve
-    # takes at most 4 evaluations of the equation (its quadratures)
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(_d2_d3_points())
+def test_d2_d3_give_a_density_or_curve_singularity(point) -> None:
+    # CurveSingularity is the only D2/D3 failure the benchmark knows, and it
+    # is raised only within 1e-8 relative of the D2/D3 curve, where sigma's
+    # own rounding no longer fixes the root; a solve takes at most 12 Newton
+    # evaluations of the Carlson forms (D2 one more, at v*), and no
+    # quadrature or bracket search
     rho, x, sigma = point
     params = ModelParams(10**6, rho)
     seen = Counter()
-    inner = subcritical._bl_sigma_lhs
+    inner = subcritical._real_root_integrals
 
     def counted(*args):
         seen["evaluations"] += 1
         return inner(*args)
 
-    with mock.patch.object(subcritical, "_bl_sigma_lhs", counted):
+    def refuse(*args, **kwargs):
+        raise AssertionError("D2 and D3 run no quadrature or bracket search")
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(subcritical, "_real_root_integrals", counted))
+        for name in ("tanh_sinh", "find_root_bracketed", "_first_negative_rung"):
+            stack.enter_context(mock.patch.object(subcritical, name, refuse))
         try:
             _, approx = bl_xsigma_evaluate(x, sigma, params)
         except CurveSingularity:
-            return
-    assert math.isfinite(approx.log_value(params.population))
-    assert seen["evaluations"] <= 4
+            assert abs(sigma / d2d3_curve_sigma(x, rho) - 1.0) <= 1e-8
+            approx = None
+    assert approx is None or math.isfinite(approx.log_value(params.population))
+    assert seen["evaluations"] <= 12 + (subcritical._xsigma_region(x, sigma, rho) == "D2")
+
+
+def _mp_bl_xsigma_log(rho, x, sigma, region, alpha_guess, big_n=10**6) -> float:
+    """`bl_xsigma_evaluate`'s D2 or D3 log density from a 50-digit solve of
+    the layer equation in Legendre form, with Gamma = -2 alpha^2 / (1 - k^2)
+    dP/dalpha and the eta integrals by smooth quadrature in t, v = alpha sin^2 t."""
+    with mp.workdps(50):
+        rho, x, sigma = mp.mpf(rho), mp.mpf(x), mp.mpf(sigma)
+        sr = mp.sqrt(rho)
+        c = 1 - sr
+
+        def part(alpha):  # P = 2F - (2F - P), F the value at x = alpha
+            return 2 * _mp_d3_lhs(alpha, alpha, c) - _mp_d3_lhs(x, alpha, c)
+
+        def lhs(delta):
+            if region == "D2":
+                return part(x + delta)
+            return _mp_d3_lhs(x, x + delta, c)
+
+        guess = mp.mpf(alpha_guess) - x
+        delta = mp.findroot(
+            lambda d: lhs(d) - 2 * sr * sigma,
+            (guess * (1 - mp.mpf(10) ** -6), guess * (1 + mp.mpf(10) ** -6)),
+            solver="secant",
+        )
+        alpha = x + delta
+        m = c * alpha * alpha
+        b1 = -(c * alpha + 1 / alpha)
+        gamma_int = -2 * alpha**2 / (1 - m) * mp.diff(part, alpha)
+
+        def eta_to(phi):
+            return 2 * mp.sqrt(alpha) * mp.quad(
+                lambda t: mp.cos(t) ** 2 * mp.sqrt(1 - m * mp.sin(t) ** 2), [0, phi]
+            )
+
+        eta_x = eta_to(mp.asin(mp.sqrt(x / alpha)))
+        eta, gamma0 = b1 * sr * sigma - eta_x, 0
+        if region == "D3":
+            eta_alpha = eta_to(mp.pi / 2)
+            eta += 2 * (eta_x - eta_alpha)
+            gamma0 = 6 * eta_alpha * (alpha / (1 - m)) ** 2
+        log_gamma = (
+            mp.log(mp.sqrt(2) / c) + (1 + sr) / (2 * c) + x * x / 4 - mp.log(x) / 2
+            - mp.log(c * x + 1 / x + b1) / 4 - mp.log(gamma_int + gamma0) / 2
+        )
+        n = mp.mpf(big_n)
+        return float(
+            -x * mp.log(rho) / 2 * mp.sqrt(n) - c * c * sigma * n ** mp.mpf(0.75)
+            + eta * n ** mp.mpf(0.25) - mp.mpf(0.75) * mp.log(n) + log_gamma
+        )
+
+
+@pytest.mark.parametrize(
+    "rho, x, curve, offset",
+    [
+        (0.25, 0.1, d1d2_curve_sigma, 1e-12),
+        (0.25, 0.1, d2d3_curve_sigma, -1e-7),
+        (0.25, 0.1, d2d3_curve_sigma, 1e-7),
+        (0.75, 1.5, d1d2_curve_sigma, 1e-12),
+        (0.75, 1.5, d1d2_curve_sigma, 0.2),
+        (0.75, 1.5, d2d3_curve_sigma, 1e-7),
+    ],
+)
+def test_d2_d3_density_matches_mpmath(rho, x, curve, offset) -> None:
+    # next to both curves, where the quadratures gave up or the R_D
+    # difference form of Gamma cancels, and in between
+    sigma = curve(x, rho) * (1.0 + offset)
+    sol, approx = bl_xsigma_evaluate(x, sigma, ModelParams(10**6, rho))
+    want = _mp_bl_xsigma_log(rho, x, sigma, sol.region, sol.alpha)
+    assert approx.log_value(10**6) == pytest.approx(want, rel=4e-15, abs=1e-12)
 
 
 def test_d3_runs_no_bracket_search(monkeypatch) -> None:
@@ -1124,24 +1265,16 @@ def test_bl_nsigma_matches_the_corner_tail() -> None:
 
 
 @pytest.mark.parametrize(
-    "x",
+    "x, offset",
     [
-        0.5,
-        0.8,
-        pytest.param(
-            1.2,
-            marks=pytest.mark.xfail(
-                raises=(CurveSingularity, BracketFailure),
-                reason="ROADMAP item 3: the D2 prefactor quadrature gives up "
-                "next to the D2/D3 curve",
-            ),
-        ),
+        pytest.param(x, offset, id=str(x))
+        for x, offset in ((0.5, 1e-3), (0.8, 1e-3), (1.2, 1e-3), (0.027, 1e-6), (1.4, 1e-6))
     ],
 )
-def test_bl_xsigma_continuous_across_d2_d3(x) -> None:
+def test_bl_xsigma_continuous_across_d2_d3(x, offset) -> None:
     s23 = d2d3_curve_sigma(x, PARAMS.rho)
-    below, _ = bl_xsigma_evaluate(x, s23 * (1.0 - 1e-3), PARAMS)
-    above, _ = bl_xsigma_evaluate(x, s23 * (1.0 + 1e-3), PARAMS)
+    below, _ = bl_xsigma_evaluate(x, s23 * (1.0 - offset), PARAMS)
+    above, _ = bl_xsigma_evaluate(x, s23 * (1.0 + offset), PARAMS)
     assert (below.region, above.region) == ("D2", "D3")
     assert abs(above.b1 - below.b1) <= 1e-4
     assert abs(above.eta - below.eta) <= 1e-2
