@@ -3,7 +3,8 @@
 Contents
 --------
 elliptic_KE            complete elliptic integrals K, E by the AGM
-carlson_rf_rd          Carlson's R_F and R_D, and J, a divided difference of R_D
+carlson_rf_rd          Carlson's R_F and R_D, and J, a divided difference of R_D,
+                       on a positive or a complex-conjugate pair
 hermite_He             probabilists' Hermite polynomials
 loop_series_Q_log      log of the loop integral
                        (1/2pi i) oint z^(-n-1) (1-z)^(-1) e^(1/(1-z)) dz
@@ -16,19 +17,18 @@ find_root_newton       safeguarded Newton in log(x - floor) for equations whose
 find_root_bracketed    Brent root finding on a sign-changing bracket, by a port
                        of scipy's C brentq that gives its roots bit for bit
 tanh_sinh / quad_to_infinity   quadrature kernels
-elementwise            a scalar function over an array, with the scalar bits
 
 Integrands
 ----------
 The quadrature kernels take an integrand f of one float that returns a real
 float.  Passed vectorized=True, tanh_sinh and quad_to_infinity
 instead call f with a float64 array of nodes, expecting the array of values
-that the scalar form would give element by element, bit for bit: the array
-integrands here use +, -, *, / and sqrt, which numpy rounds as `math` does,
-and take pow, exp and log through `elementwise`.  The kernel adds up the
-same terms in the same order either way, so where f raises at no node the
-keyword changes no result, only how many times f is called (for tanh_sinh,
-once for levels 0-5 and once per deeper level, against once per node).
+that the scalar form would give element by element, bit for bit: the layer
+integrands here use +, -, *, / and sqrt, which numpy rounds as `math` does.
+The kernel adds up the same terms in the same order either way, so where f
+raises at no node the keyword changes no result, only how many times f is
+called (for tanh_sinh, once for levels 0-5 and once per deeper level,
+against once per node).
 
 Each level's sum is a running total from its first term in node order, the
 same whichever levels were evaluated together.  The terms of one call of f
@@ -56,12 +56,11 @@ its bisection only guard against a step that leaves it; neither end is
 evaluated.  A root is accepted by how well the doubles resolve its Newton
 variable log(x - floor), so each solve's reach has one edge.
 
-Brent serves only D1, where the layer quadratic has complex roots: its
-equation is still integrated by quadrature and solved by
-find_root_bracketed, which evaluates its function once per distinct
-argument, through a memo that lives for one solve and that the D1
-bracket search (`subcritical._first_negative_rung`, a gallop and
-bisection over a ladder of rungs) fills first.
+Brent serves only the D1 layer equation, still integrated by quadrature:
+find_root_bracketed evaluates its function once per distinct argument,
+through a memo that lives for one solve and that the D1 bracket search
+(`subcritical._first_negative_rung`, a gallop and bisection over a ladder
+of rungs) fills first.
 
 The Brent iteration is a line-for-line port of scipy's C `brentq`
 (scipy/optimize/Zeros/brentq.c, after Brent 1973, Algorithms for
@@ -75,8 +74,8 @@ tests the divisor and bisects.
 
 from __future__ import annotations
 
+import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -150,25 +149,37 @@ def _r_series(a: float, e2: float, e3: float, e4: float, e5: float) -> float:
     )
 
 
-def carlson_rf_rd(x: float, y: float, z: float) -> tuple[float, float, float]:
+def carlson_rf_rd(x, y, z: float) -> tuple[float, float, float]:
     """R_F(x, y, z), R_D(x, y, z) and J = int_0^inf (t + x)^(-3/2) (t + y)^(-3/2)
     (t + z)^(-1/2) dt = (R_D(z, y, x) - R_D(z, x, y)) / (3/2 (y - x)), which
-    does not cancel at x = y.  One duplication loop (Carlson, Numer.
-    Algorithms 10 (1995) 13-26) maps each argument v to (v + lambda) / 4,
+    does not cancel at x = y, for z > 0 and x, y a positive pair or a complex
+    conjugate pair off the negative real axis, where all three are real.
+    One duplication loop (Carlson, Numer. Algorithms 10 (1995) 13-26), with
+    cmath.sqrt for a conjugate pair, maps each argument v to (v + lambda) / 4,
     lambda = sqrt(xy) + sqrt(yz) + sqrt(zx), and at step m takes 4^-m 3 /
     (sqrt(z) (z + lambda)) off R_D and, from its steps in both orders, 16^-m
     2 (lambda + x + y + sqrt(xy)) / (sqrt(xy) (sqrt(x) + sqrt(y)) (x + lambda)
     (y + lambda)) off J, until the triple lies within 1e-3 of its mean, inside
-    Carlson's bound (eps/4)^(1/6); fifth-order series finish all three.
+    Carlson's bound (eps/4)^(1/6); fifth-order series finish all three, whose
+    real parts are returned.  A conjugate pair with Re x < 0 loses digits in
+    proportion to |Re x / Im x| (within 1e-15 times it), as a relative
+    rounding of x does: the integrands peak at t = -Re x with width |Im x|.
     """
-    if not all(0.0 < v < math.inf for v in (x, y, z)):
-        raise InvalidInput(f"Carlson arguments must be positive, got {(x, y, z)}")
+    if isinstance(x, complex) or isinstance(y, complex):
+        x, y, sqrt = complex(x), complex(y), cmath.sqrt
+        valid = y == x.conjugate() and cmath.isfinite(x) and (x.imag != 0.0 or x.real > 0.0)
+    else:
+        valid, sqrt = 0.0 < x < math.inf and 0.0 < y < math.inf, math.sqrt
+    if not (valid and not isinstance(z, complex) and 0.0 < z < math.inf):
+        raise InvalidInput(
+            f"Carlson arguments must be a positive or conjugate pair and z > 0, got {(x, y, z)}"
+        )
     rd, rj, scale = 0.0, 0.0, 1.0
     while True:
         mean = (x + y + z) / 3.0
-        if max(abs(x - mean), abs(y - mean), abs(z - mean)) <= 1e-3 * mean:
+        if max(abs(x - mean), abs(y - mean), abs(z - mean)) <= 1e-3 * abs(mean):
             break
-        rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        rx, ry, rz = sqrt(x), sqrt(y), sqrt(z)
         rxy = rx * ry
         lam = rxy + ry * rz + rz * rx
         # a factor at a time, as tiny arguments would underflow their products
@@ -181,22 +192,22 @@ def carlson_rf_rd(x: float, y: float, z: float) -> tuple[float, float, float]:
     # (x + y + 3z)/5, (3x + 3y + z)/7; J's e_k from (1 - 3st)(1 + st + pt^2)^3
     dx, dy = 1.0 - x / mean, 1.0 - y / mean
     dz = -(dx + dy)
-    rf = _r_series(0.5, dx * dy - dz * dz, dx * dy * dz, 0.0, 0.0) / math.sqrt(mean)
+    rf = _r_series(0.5, dx * dy - dz * dz, dx * dy * dz, 0.0, 0.0) / sqrt(mean)
     mean = 0.2 * (x + y + 3.0 * z)
     dx, dy = 1.0 - x / mean, 1.0 - y / mean
     dz = -(dx + dy) / 3.0
     xy, z2 = dx * dy, dz * dz
     rd = 3.0 * rd + scale * _r_series(
         1.5, xy - 6.0 * z2, (3.0 * xy - 8.0 * z2) * dz, 3.0 * (xy - z2) * z2, xy * z2 * dz
-    ) / mean / math.sqrt(mean)
+    ) / mean / sqrt(mean)
     mean = (3.0 * (x + y) + z) / 7.0
     s, p = 2.0 - (x + y) / mean, (1.0 - x / mean) * (1.0 - y / mean)
     s2 = s * s
     rj += 0.4 * scale * scale * _r_series(
         2.5, 3.0 * p - 6.0 * s2, -(3.0 * p + 8.0 * s2) * s,
         3.0 * p * p - 15.0 * s2 * p - 3.0 * s2 * s2, -3.0 * s * p * (2.0 * p + 3.0 * s2),
-    ) / mean / mean / math.sqrt(mean)
-    return rf, rd, rj
+    ) / mean / mean / sqrt(mean)
+    return rf.real, rd.real, rj.real
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +306,9 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
     width = math.sqrt(2.0 * 1500.0) / s
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        pos = np.flatnonzero(u > 0.0)
-        y = u[pos] - delta1
-        expo = -0.5 * s * s * y * y + p * elementwise(math.log, u[pos])
-        live = expo > -745.0
-        out[pos[live]] = elementwise(math.exp, expo[live])
-        return out
+        # the nodes lie strictly inside (0, hi), so log(u) is finite
+        y = u - delta1
+        return np.exp(-0.5 * s * s * y * y + p * np.log(u))
 
     lo = 0.0
     hi = max(delta1, 0.0) + width
@@ -725,14 +732,3 @@ def quad_to_infinity(
 
     return tanh_sinh(g, 0.0, 1.0, rel_tol, max_depth, vectorized=vectorized)
 
-
-def elementwise(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
-    """fn(v, *args) for each element v of the float64 array x, through Python floats.
-
-    Array integrands take pow, exp and log through here: numpy's SIMD loops
-    for them can round an ulp away from the C library behind `math` and float
-    `**`, and an array integrand must give the bits of its scalar form.
-    """
-    return np.fromiter(
-        map(fn, x.tolist(), *(itertools.repeat(v) for v in args)), float, x.size
-    )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +38,6 @@ from .exact import ModelParams
 from .specfun import (
     EllipticPair,
     carlson_rf_rd,
-    elementwise,
     elliptic_KE,
     find_root_bracketed,
     find_root_newton,
@@ -150,13 +148,14 @@ REGIME_KINDS = (
 # the O(1) corner, _X_CUT ends the n = O(sqrt(N)) layers, _SIGMA_TIME_CUT (in
 # units of N^(3/4)) splits the sigma from the tau time scale, and _T1_WIDTH /
 # _T2_WIDTH are the half-widths of the T1/T2 bands in xi, in units of
-# N^(-1/2) and N^(-1/4).
+# N^(-1/2) and N^(-1/4); _T2_DELTA_MAX bounds the T2 band in Delta too.
 _N_CORNER = 8
 _T_CORNER = 8.0
 _X_CUT = 4.0
 _SIGMA_TIME_CUT = 4.0
 _T1_WIDTH = 1.0
 _T2_WIDTH = 1.0
+_T2_DELTA_MAX = 8.0
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,8 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     """Assign (n, t) to the regime whose expansion should be used.
 
     Precedence: corner, then the small-n boundary layers, then the T1/T2
-    bands, then the bulk regions by position relative to the curves.
+    bands (T2's also |Delta| <= 8, where `t2_evaluate` holds), then the bulk
+    regions by position relative to the curves.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -216,7 +216,9 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     if abs(xi - xi_zero) <= _T1_WIDTH / sqrt_n:
         return RegimeLabel("T1", xi, tau, x, sigma)
     if abs(xi - xi_st) <= _T2_WIDTH / big_n**0.25:
-        return RegimeLabel("T2", xi, tau, x, sigma)
+        delta = (t - big_n * curves.tau_star(xi)) / big_n**0.75
+        if abs(delta) <= _T2_DELTA_MAX:
+            return RegimeLabel("T2", xi, tau, x, sigma)
     if xi > xi_zero:
         return RegimeLabel("R1", xi, tau, x, sigma)
     if xi < xi_st:
@@ -251,18 +253,15 @@ def d1d2_curve_sigma(x: float, rho: float) -> float:
 def d2d3_curve_sigma(x: float, rho: float) -> float:
     """Sigma on the D2/D3 boundary (the curve where eta_x changes sign).
 
-    Reduction of the layer equation at alpha = x to complete elliptic
-    integrals with modulus k = sqrt(1 - sqrt(rho)) * x, which keeps k < 1
-    all the way to the shared vertical asymptote; validated against direct
-    quadrature of the defining integral.
+    F(x) = 2 sqrt(rho) sigma, the layer equation at alpha = x, with the F of
+    `_fixed_n_lhs` that `_solve_alpha` measures a point's gap to the curve
+    by: its K - E at k = sqrt(1 - sqrt(rho)) x < 1 does not cancel at small k.
     """
     _require_subcritical(rho)
     c = 1.0 - math.sqrt(rho)
     if not 0.0 < x < c**-0.5:
         raise InvalidInput(f"x must be in (0, {c ** -0.5:.6f}), got {x}")
-    k = math.sqrt(c) * x
-    pair = elliptic_KE(k)
-    return (pair.K - pair.E) / (math.sqrt(rho) * c * math.sqrt(x))
+    return _fixed_n_lhs(x, c)[0] / (2.0 * math.sqrt(rho))
 
 
 def _xsigma_region(x: float, sigma: float, rho: float) -> str:
@@ -283,7 +282,8 @@ def _xsigma_region(x: float, sigma: float, rho: float) -> str:
 
 @dataclass(frozen=True)
 class R2Terms:
-    """Saddle data in R2: growth rate phi, algebraic order phi1, constant K.
+    """Saddle data in R2: growth rate phi, algebraic order phi1, log K and
+    the log of K's tau-free part K0.
 
     B parametrizes the saddle; it sweeps (0, 1 - sqrt(rho)) as the point
     moves from the first critical curve to the second.
@@ -292,8 +292,8 @@ class R2Terms:
     B: float
     phi: float
     phi1: float
-    K: float
-    K0: float
+    log_K: float
+    log_K0: float
 
 
 def r2_root(xi: float, tau: float, rho: float) -> float:
@@ -336,26 +336,25 @@ def r2_evaluate(
         - b / rho * (-math.expm1(-rho * tau))
     )
     phi1 = -(3.0 * g - rho) / (2.0 * g - 2.0 * rho)
-    k0 = (
-        one_b
-        / math.sqrt(2.0 * math.pi)
-        * rho ** ((3.0 * g - rho) / (2.0 * g - 2.0 * rho))
-        * b ** (g / (rho - g))
-        * (1.0 - rho / one_b) ** (rho / (g - rho))
-        * (one_b - rho / one_b) ** ((g + 2.0 * rho) / (rho - g))
-        * math.gamma(g / (g - rho))
+    # in logs: the powers grow as 1 / (g - rho) next to the second curve
+    log_k0 = (
+        math.log(one_b)
+        - 0.5 * math.log(2.0 * math.pi)
+        - phi1 * math.log(rho)
+        + g / (rho - g) * math.log(b)
+        + rho / (g - rho) * math.log(1.0 - rho / one_b)
+        + (g + 2.0 * rho) / (rho - g) * math.log(one_b - rho / one_b)
+        + math.lgamma(g / (g - rho))
     )
-    k_val = (
-        k0
-        * math.exp(2.5 * rho * tau)
-        * (b * b - b + e_rt * (1.0 - rho - b)) ** (rho / (g - rho))
-        / (math.sqrt(g + rho * e_rt) * math.sqrt(e_rt - b))
-        * em1 ** ((rho - 3.0 * g) / (2.0 * g - 2.0 * rho))
+    log_k = (
+        log_k0
+        + 2.5 * rho * tau
+        + rho / (g - rho) * math.log(b * b - b + e_rt * (1.0 - rho - b))
+        - 0.5 * (math.log(g + rho * e_rt) + math.log(e_rt - b))
+        + phi1 * math.log(em1)
     )
-    terms = R2Terms(B=b, phi=phi, phi1=phi1, K=k_val, K0=k0)
-    approx = LogDensityApprox(
-        coeff_N=phi, coeff_logN=phi1, coeff_O1=math.log(k_val)
-    )
+    terms = R2Terms(B=b, phi=phi, phi1=phi1, log_K=log_k, log_K0=log_k0)
+    approx = LogDensityApprox(coeff_N=phi, coeff_logN=phi1, coeff_O1=log_k)
     return terms, approx
 
 
@@ -732,15 +731,16 @@ def t2_evaluate(
 
     No quadrature: a comes from the Newton solve of `t2_solve_A`, whose
     evaluation of `_t2_integrals` at the root also gives the decay and
-    prefactor integrals.  The reach in Delta is set by that root solve
-    (BracketFailure from Delta of about 30 at rho = 0.25 and 46.6 at
-    rho = 0.75), not by the integrals.  Beyond |Delta| of about 8 the
-    neighbouring R2/R3 forms are better anyway.
+    prefactor integrals.  OutOfRegion is raised outside |Delta| <= 8, the
+    band `classify` gives T2, where the R2/R3 forms take over and from
+    Delta of about -15 (at rho = 0.25) the prefactor underflows.
     """
     rho = params.rho
     _require_subcritical(rho)
     if xi <= 0.0:
         raise InvalidInput(f"xi must be positive, got {xi}")
+    if abs(delta) > _T2_DELTA_MAX:
+        raise OutOfRegion(f"Delta={delta} is outside the T2 band |Delta| <= {_T2_DELTA_MAX}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     a_val, decay, i3 = _t2_root(delta, rho)
@@ -775,8 +775,8 @@ def t2_evaluate(
 class XsigmaSolution:
     """Layer solution at (x, sigma): coefficient b1, roots, and factors.
 
-    alpha/beta are the roots of the layer quadratic (NaN in D1 where they
-    are complex); gamma0 is the elliptic correction entering only in D3.
+    alpha/beta are the roots of the layer quadratic (NaN in D1, complex or
+    negative there); gamma0 is the elliptic correction entering only in D3.
     """
 
     x: float
@@ -859,13 +859,20 @@ def _bl_eta_integral(upper: float, b1: float, c: float) -> float:
     return _split_quad(h, math.sqrt(upper), c, _EVAL_QUAD_TOL)
 
 
-def _bl_gamma_integral(x: float, b1: float, c: float) -> float:
-    # integral of [c v + 1/v + b1]^(-3/2) over (0, x), via v = w^2
-    def h(w: np.ndarray) -> np.ndarray:
-        q = (c * w * w + b1) * w * w + 1.0
-        return 2.0 * elementwise(operator.pow, w, 4) / elementwise(operator.pow, q, 1.5)
-
-    return _split_quad(h, math.sqrt(x), c, _EVAL_QUAD_TOL)
+def _d1_gamma_integral(x: float, b1: float, c: float) -> float:
+    """Gamma = int (v / q)^(3/2) dv over (0, x), q(v) = c v^2 + b1 v + 1 =
+    (1 - w v)(1 - w' v), is x^(5/2) J(1 - w x, 1 - w' x; 1) by v = x / (t + 1):
+    a conjugate pair 1 + b1 x / 2 -+ i (x/2) sqrt(4c - b1^2) where b1^2 < 4c,
+    else real, from the root w = -(b1 + sign(b1) sqrt(b1^2 - 4c)) / 2 that
+    does not cancel and w' = c / w."""
+    disc = 4.0 * c - b1 * b1
+    if disc > 0.0:
+        a = complex(1.0 + 0.5 * b1 * x, 0.5 * x * math.sqrt(disc))
+        b = a.conjugate()
+    else:
+        w = -0.5 * (b1 + math.copysign(math.sqrt(-disc), b1))
+        a, b = 1.0 - w * x, 1.0 - c / w * x
+    return x * x * math.sqrt(x) * carlson_rf_rd(a, b, 1.0)[2]
 
 
 def _gamma_prefactor(x: float, q_over_v: float, rho: float, c: float) -> float:
@@ -1071,10 +1078,10 @@ def bl_xsigma_evaluate(
     Splits into sub-regions D1/D2/D3 by the separating curves; raises
     CurveSingularity within 1e-6 of the shared vertical asymptote
     x = (1 - sqrt(rho))^(-1/2), where the region decision degenerates, and
-    within a few 1e-9 relative of the D2/D3 curve, where the doubles no
-    longer resolve the root.  D2 and D3, where the layer quadratic has real
-    roots, are solved by Newton on the Carlson forms of `_solve_alpha`, with
-    no quadrature; D1 by Brent over tanh-sinh quadrature.
+    in D2/D3 within a few 1e-9 relative of the D2/D3 curve, where the
+    doubles no longer resolve the root.  D2 and D3 are solved by Newton on
+    the Carlson forms of `_solve_alpha`, with no quadrature; D1 keeps Brent
+    over quadrature for P and eta only, its Gamma a Carlson form too.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -1093,17 +1100,12 @@ def bl_xsigma_evaluate(
     gamma0 = 0.0
     if region == "D1":
         b1 = _solve_b1_direct(x, sigma, rho, c)
-        alpha = beta = math.nan  # the roots are complex
+        alpha = beta = math.nan
         eta = b1 * sr * sigma - _bl_eta_integral(x, b1, c)
-        try:
-            gamma = (
-                _gamma_prefactor(x, c * x + 1.0 / x + b1, rho, c)
-                * _bl_gamma_integral(x, b1, c) ** -0.5
-            )
-        except MaxDepthExceeded as err:
-            raise CurveSingularity(
-                f"point x={x}, sigma={sigma}: the D1 prefactor quadrature gave up"
-            ) from err
+        gamma = (
+            _gamma_prefactor(x, c * x + 1.0 / x + b1, rho, c)
+            * _d1_gamma_integral(x, b1, c) ** -0.5
+        )
     else:
         alpha, (_, gamma_int, eta_x, q_over_x), pair = _solve_alpha(
             x, sigma, rho, c, region

@@ -1,18 +1,23 @@
-"""Direct tests of the rho < 1 boundary-layer quadratures and the T2 layer.
+"""Direct tests of the rho < 1 boundary layers and the T2 layer.
 
-The D1 layer integrals were recorded from the scalar-integrand quadrature
-that preceded the array integrands, and are compared with ==: the array
-path must reproduce those bits, not just approximate them.  There
-rho = 0.25, so c = 1 - sqrt(rho) = 0.5 and the layer quadratic's knot sits
-at w = c^(-1/4) = 1.189 (v = 1.414).
+The D1 layer equation's and eta's quadratures were recorded from the
+scalar-integrand quadrature that preceded the array integrands, and are
+compared with ==: the array path must reproduce those bits, not just
+approximate them.  There rho = 0.25, so c = 1 - sqrt(rho) = 0.5 and the
+layer quadratic's knot sits at w = c^(-1/4) = 1.189 (v = 1.414).  D1's
+prefactor integral is a Carlson form, on a conjugate pair where the layer
+quadratic has complex roots: it is checked against 40-digit mpmath next to
+the floor on both sides of v*, mid-range and where the pair turns real, and
+against the quadrature values it replaced.
 
 The T2 layer integrals are closed forms (one AGM with forward derivatives),
 checked against 30-digit mpmath quadrature, against their exact values at
 the double root a = 2 sqrt(c), and for their divergence at the floor
 a = -2 sqrt(c); `t2_evaluate` is checked against values recorded from the
-quadrature it replaced.  The T2 and fixed-n sigma-layer equations are solved
-by Newton on their closed forms: the derivatives they use are checked
-against 40-digit mpmath, the closed-form eta integral against the
+quadrature it replaced, and refuses Delta outside the band |Delta| <= 8
+that `classify` gives it.  The T2 and fixed-n sigma-layer equations are
+solved by Newton on their closed forms: the derivatives they use are
+checked against 40-digit mpmath, the closed-form eta integral against the
 quadrature and 50-digit mpmath, each solve's residual and AGM count over
 the parameter range by a hypothesis property test, and both run with the
 Brent, ladder and quadrature kernels made to raise.  Their reach has one
@@ -26,7 +31,8 @@ densities against 50-digit solves of the Legendre forms.  A hypothesis
 property test over D2 and D3 at N = 10^6, drawn towards both curves, asks
 for a finite density in at most 12 evaluations and no quadrature or
 bracket search, or CurveSingularity next to the D2/D3 curve.  Their
-recorded Brent roots and evaluated points still hold to a few ulps.
+recorded Brent roots and evaluated points still hold to a few ulps, and
+the D2/D3 curve, the same F, matches 40-digit mpmath.
 
 Also here: `classify` gives every (n, t) one label (a hypothesis property
 test); each D1 root solve evaluates its layer equation once per distinct
@@ -40,14 +46,16 @@ InvalidInput; the eigenvalue expansion converges to the exact spectrum at
 its predicted order, and the mode-0 spectral coefficient to the exact c_0;
 the eigenvector expansion stays finite, in log form, past double range;
 the layer is continuous across the D2/D3 curve, down to 1e-6 relative of
-it; and the defects that ROADMAP item 2 is to mend stand as strict xfails.
+it; the T2 points far outside the band in Delta, which gave a positive log
+density or a raw ValueError, go to R1/R2/R3; and R2's prefactor, in log
+form, stays finite where its linear form left double range.
 """
-
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
+import sys
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -58,26 +66,29 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from perfbench import adapters
 from psq import subcritical
 from psq.errors import (
     BracketFailure,
     CurveSingularity,
     InvalidInput,
     MaxDepthExceeded,
+    OutOfRegion,
     PSQError,
     RootNotBracketed,
     ScaleGap,
 )
 from psq.exact import ModelParams, build_generator, steady_state_log_weights
 from psq.infinite import tail_asym_infinite
+from psq.supercritical import XiTauPoint
 from psq.specfun import elliptic_KE, find_root_bracketed, loop_series_Q_log
 from psq.subcritical import (
     LogDensityApprox,
     RegimeLabel,
     _bl_eta_closed_form,
     _bl_eta_integral,
-    _bl_gamma_integral,
     _bl_sigma_lhs,
+    _d1_gamma_integral,
     _fixed_n_lhs,
     _real_root_integrals,
     _solve_alpha,
@@ -104,7 +115,8 @@ from psq.subcritical import (
 C = 0.5
 PARAMS = ModelParams(population=10**6, rho=0.25)
 
-# (x, b1): x = 0.8 integrates in one piece, x = 2.5 splits at the knot
+# (x, b1): x = 0.8 integrates in one piece, x = 2.5 splits at the knot; the
+# gamma integrals were recorded from the quadrature the closed form replaced
 LAYER_CASES = [
     # x, b1, sigma lhs, eta integral, gamma integral
     (0.8, -1.0, 0.5950513419872401, 1.5890334121059784, 0.5003053664491642),
@@ -114,11 +126,59 @@ LAYER_CASES = [
 ]
 
 
+def _mp_d1_gamma(x: float, b1: float, c: float):
+    """The D1 prefactor integral of (v / q)^(3/2) over (0, x), q = c v^2 +
+    b1 v + 1, by 40-digit mpmath quadrature, split around q's minimum at
+    v* = c^(-1/2), where next to the floor b1 = -2 sqrt(c) it peaks with
+    width sqrt((b1 + 2 sqrt(c)) / c)."""
+    with mp.workdps(40):
+        xm, b, cm = mp.mpf(x), mp.mpf(b1), mp.mpf(c)
+        vstar = 1 / mp.sqrt(cm)
+        width = mp.sqrt(abs(b + 2 * mp.sqrt(cm)) / cm)
+        knots = {mp.mpf(0), xm}
+        for k in (-3, -1, 0, 1, 3):
+            if 0 < vstar + k * width < xm:
+                knots.add(vstar + k * width)
+        return mp.quad(lambda v: (v / ((cm * v + b) * v + 1)) ** 1.5, sorted(knots))
+
+
 @pytest.mark.parametrize("x, b1, sigma_lhs, eta, gamma", LAYER_CASES)
 def test_layer_integrals_pinned(x, b1, sigma_lhs, eta, gamma) -> None:
     assert _bl_sigma_lhs(x, b1, C) == sigma_lhs
     assert _bl_eta_integral(x, b1, C) == eta
-    assert _bl_gamma_integral(x, b1, C) == gamma
+    got = _d1_gamma_integral(x, b1, C)
+    assert got == pytest.approx(float(_mp_d1_gamma(x, b1, C)), rel=1e-15, abs=0.0)
+    assert got == pytest.approx(gamma, rel=1e-14, abs=0.0)
+
+
+# D1's Gamma at b1 = k sqrt(c) + offset, at rho = 0.25 and 0.75: next to
+# the floor -2 sqrt(c) on both sides of v* (a conjugate pair 1 - w x whose
+# real part is positive before v* and negative past it), mid-range, at and
+# past b1 = 2 sqrt(c), where the pair turns real, and just below -2 sqrt(c),
+# where a Brent root next to the D1/D2 curve may land before v* (a real
+# positive pair, still above the floor -(c x + 1/x) there)
+D1_GAMMA_CASES = [
+    (rho, frac * (1.0 - math.sqrt(rho)) ** -0.5, k * (1.0 - math.sqrt(rho)) ** 0.5 + offset)
+    for rho in (0.25, 0.75)
+    for frac in (0.5, 0.99, 1.01, 2.1)
+    for k, offset in (
+        (-2.0, 1.4e-5), (-2.0, 1e-3), (0.3, 0.0), (2.0, 0.0), (2.0, 1e-9), (0.0, 40.0),
+        (-2.0, -1e-6),
+    )
+    if frac < 1.0 or offset >= 0.0
+]
+
+
+@pytest.mark.parametrize("rho, x, b1", D1_GAMMA_CASES)
+def test_d1_gamma_integral_matches_mpmath(rho, x, b1) -> None:
+    # next to the floor Gamma grows as 1 / (b1 + 2 sqrt(c)) once x reaches
+    # v*, so one ulp of b1 moves it by about ulp(b1) / (b1 + 2 sqrt(c))
+    # relative (1.6e-11 at 1.4e-5 above the floor); 4c - b1^2 carries that
+    # rounding, and Gamma keeps within half of it (2.5e-12 at most here)
+    c = 1.0 - math.sqrt(rho)
+    got = _d1_gamma_integral(x, b1, c)
+    bound = 4e-15 + 0.5 * math.ulp(b1) / abs(b1 + 2.0 * math.sqrt(c))
+    assert got == pytest.approx(float(_mp_d1_gamma(x, b1, c)), rel=bound, abs=0.0)
 
 
 def test_layer_integral_below_its_floor_raises() -> None:
@@ -143,15 +203,15 @@ def test_layer_integral_below_its_floor_raises() -> None:
     ],
 )
 def test_bl_xsigma_pinned(x, sigma, region, b1, eta, gamma, log_p) -> None:
-    # D2 and D3 were recorded from Brent solves over quadratures; their
-    # Newton solves on the Carlson forms keep within a few ulps of them
+    # recorded from Brent solves over quadratures.  D2 and D3, now Newton
+    # solves on the Carlson forms, keep within a few ulps of them; D1 keeps
+    # its bits but for gamma, whose integral is a Carlson form now too
     sol, approx = bl_xsigma_evaluate(x, sigma, PARAMS)
     assert sol.region == region
     got = (sol.b1, sol.eta, sol.gamma, approx.log_value(PARAMS.population))
-    if region != "D1":
-        assert got == pytest.approx((b1, eta, gamma, log_p), rel=1e-14, abs=0.0)
-    else:
-        assert got == (b1, eta, gamma, log_p)
+    assert got == pytest.approx((b1, eta, gamma, log_p), rel=1e-14, abs=0.0)
+    if region == "D1":
+        assert (sol.b1, sol.eta, got[3]) == (b1, eta, log_p)
 
 
 # points past v* = c^(-1/2), whose layer integrals split at the knot and take
@@ -169,13 +229,15 @@ SPLIT_PANEL_CASES = [
 
 @pytest.mark.parametrize("rho, x, sigma, b1, eta, gamma, log_p", SPLIT_PANEL_CASES)
 def test_bl_xsigma_split_panel_pinned(rho, x, sigma, b1, eta, gamma, log_p) -> None:
-    # the same bits with the inner-panel memo cold and warm
+    # the same bits with the inner-panel memo cold and warm; gamma, recorded
+    # from the quadrature its Carlson form replaced, within a few ulps
     params = ModelParams(population=10**6, rho=rho)
     subcritical._sigma_inner_panel.cache_clear()
     for _ in range(2):
         sol, approx = bl_xsigma_evaluate(x, sigma, params)
         assert sol.region == "D1"
-        assert (sol.b1, sol.eta, sol.gamma) == (b1, eta, gamma)
+        assert (sol.b1, sol.eta) == (b1, eta)
+        assert sol.gamma == pytest.approx(gamma, rel=1e-14, abs=0.0)
         assert approx.log_value(params.population) == log_p
 
 
@@ -865,7 +927,7 @@ def test_closed_form_layers_run_no_bracket_search_or_quadrature(monkeypatch) -> 
 
     for name in ("find_root_bracketed", "_first_negative_rung", "tanh_sinh"):
         monkeypatch.setattr(subcritical, name, refuse)
-    for delta in (-8.0, 0.0, 4.0, 15.0):
+    for delta in (-8.0, 0.0, 4.0, 8.0):
         _, approx = t2_evaluate(0.3, delta, PARAMS)
         assert math.isfinite(approx.log_value(PARAMS.population))
     for sigma in (3e-4, 0.05, 1.0, 4.0):
@@ -1249,6 +1311,23 @@ def test_d3_runs_no_bracket_search(monkeypatch) -> None:
         assert math.isfinite(approx.log_value(10**6))
 
 
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("frac", [1e-4, 1e-2, 0.5, 0.99, 1.0 - 1e-4, 1.0 - 1e-6])
+def test_d2d3_curve_matches_mpmath(rho, frac) -> None:
+    # (K - E) / (sqrt(rho) c sqrt(x)) at k = sqrt(c) x = frac, from the c the
+    # code forms.  Next to k = 1 one rounding of k moves K by about
+    # eps / (1 - k) relative; at small k the form K - E cancels, and was
+    # 3e-9 off at frac = 1e-4, where `_fixed_n_lhs` is not
+    c = 1.0 - math.sqrt(rho)
+    x = frac * c**-0.5
+    with mp.workdps(40):
+        cm, xm = mp.mpf(c), mp.mpf(x)
+        m = cm * xm * xm
+        want = (mp.ellipk(m) - mp.ellipe(m)) / (mp.sqrt(mp.mpf(rho)) * cm * mp.sqrt(xm))
+    bound = 2e-15 + 2e-17 / (1.0 - frac)
+    assert d2d3_curve_sigma(x, rho) == pytest.approx(float(want), rel=bound, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # seams, matches and known defects
 # ---------------------------------------------------------------------------
@@ -1281,13 +1360,9 @@ def test_bl_xsigma_continuous_across_d2_d3(x, offset) -> None:
     assert above.gamma == pytest.approx(below.gamma, rel=0.1)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="ROADMAP item 2: classify sends Delta < -8 to T2, whose prefactor "
-    "underflows there and gives a positive log density",
-)
 def test_t2_far_below_the_band_is_not_silently_wrong() -> None:
-    # xi = 0.0279, Delta = -14.6 at rho = 0.25: log p = +12 885 today
+    # xi = 0.0279, Delta = -14.6 at rho = 0.25, where the prefactor has lost
+    # most of its digits and log p came out +12 885: now out of the band
     try:
         _, approx = t2_evaluate(0.0279, -14.6, PARAMS)
     except PSQError:
@@ -1295,14 +1370,48 @@ def test_t2_far_below_the_band_is_not_silently_wrong() -> None:
     assert approx.log_value(PARAMS.population) <= 0.0
 
 
-@pytest.mark.xfail(
-    raises=ValueError,
-    reason="ROADMAP item 2: the T2 prefactor underflows to 0 and math.log "
-    "raises a raw ValueError",
-)
 def test_t2_far_below_the_band_raises_a_psq_error() -> None:
+    # Delta = -15.2, where the prefactor underflowed to 0 and math.log raised
+    # a raw ValueError
     try:
         _, approx = t2_evaluate(0.0279, -15.2, PARAMS)
     except PSQError:
         return
     assert approx.log_value(PARAMS.population) <= 0.0
+
+
+@pytest.mark.parametrize("n, delta", [(27_900, -14.5), (27_900, -8.5), (5_000, 8.5), (5_000, 10.5)])
+def test_t2_band_ends_at_delta_8(n, delta) -> None:
+    # at rho = 0.25 these points lie inside |xi - xi*| <= N^(-1/4), which
+    # reaches Delta = -14.5 at n = 27 900 and 10.5 at n = 5000, so the band
+    # in Delta decides.  Outside it classify sends the point on to R1/R2/R3
+    # by position, whose evaluators give a finite, negative log density,
+    # and t2_evaluate refuses it
+    big_n = PARAMS.population
+    t = big_n * _CURVES.tau_star(n / big_n) + delta * big_n**0.75
+    label = classify(n, t, PARAMS)
+    assert label.kind in ("R1", "R2", "R3")
+    failure, log_p = adapters.EVALUATORS[label.kind](n, t, PARAMS)
+    assert failure is None and log_p < 0.0
+    with pytest.raises(OutOfRegion):
+        t2_evaluate(n / big_n, delta, PARAMS)
+    t_in = big_n * _CURVES.tau_star(n / big_n) + math.copysign(8.0, delta) * big_n**0.75
+    assert classify(n, t_in, PARAMS).kind == "T2"
+
+
+def test_r2_prefactor_in_log_form_past_double_range() -> None:
+    # rho = 0.75, next to (1 - B)^2 = rho, where K0's powers overflowed the
+    # linear form and the point raised a raw ValueError; 2 10^4 on either
+    # side (the later side raised OverflowError) the log density falls
+    # through it smoothly
+    params = ModelParams(10**6, 0.75)
+    n, t = 745_976, 2_317_465.79
+    logs, past_double_range = [], []
+    for dt in (-2e4, 0.0, 2e4):
+        pt = XiTauPoint.from_indices(n, t + dt, params.population)
+        assert classify(n, t + dt, params).kind == "R2"
+        terms, approx = subcritical.r2_evaluate(pt, params)
+        past_double_range.append(terms.log_K > math.log(sys.float_info.max))
+        logs.append(approx.log_value(params.population))
+    assert past_double_range == [False, True, True]
+    assert logs == pytest.approx([-9191.72, -9513.57, -9784.42], abs=0.01)
