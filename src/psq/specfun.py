@@ -16,7 +16,7 @@ find_root_newton       safeguarded Newton in log(x - floor) for equations whose
                        value and derivative come in closed form
 find_root_bracketed    Brent root finding on a sign-changing bracket, by a port
                        of scipy's C brentq that gives its roots bit for bit
-tanh_sinh / quad_to_infinity   quadrature kernels
+tanh_sinh / quad_to_infinity   quadrature kernels, with a bounded memo of their nodes
 
 Integrands
 ----------
@@ -35,6 +35,14 @@ same whichever levels were evaluated together.  The terms of one call of f
 are placed in a zero-padded grid, a row per level, and one cumsum along the
 rows gives every level's sum; a node dropped at an endpoint and the padding
 add +0.0, which changes no sum.
+
+The nodes of a batch depend on the interval [a, b] alone, not on f.  They
+come, with their weights and grid slots, from a memo of the 16 batches last
+used (`_interval_nodes`), so the quadratures of one root solve, which
+integrate the same one or two intervals a dozen times, build them once.
+Batches past level 8 are built afresh on every call, which bounds the memo
+at 16 x 1024 nodes, under 0.4 MB.  The nodes an array f gets are that
+memo's read-only array: f must not write into its argument.
 
 An array f runs with numpy's invalid and divide errors raised, so a square
 root of a negative number or a division by zero raises FloatingPointError
@@ -60,7 +68,9 @@ Brent serves only the D1 layer equation, still integrated by quadrature:
 find_root_bracketed evaluates its function once per distinct argument,
 through a memo that lives for one solve and that the D1 bracket search
 (`subcritical._first_negative_rung`, a gallop and bisection over a ladder
-of rungs) fills first.
+of rungs) fills first.  Brent returns once its sign bracket is narrower
+than BRENT_XTOL + BRENT_RTOL |root|, which a caller whose equation is steep
+at the root may need to size its residual test.
 
 The Brent iteration is a line-for-line port of scipy's C `brentq`
 (scipy/optimize/Zeros/brentq.c, after Brent 1973, Algorithms for
@@ -331,6 +341,11 @@ def harmonic(n: int) -> float:
 # bracketed root finding
 # ---------------------------------------------------------------------------
 
+# find_root_bracketed's Brent tolerances (see the module docstring)
+BRENT_XTOL = 1e-14
+BRENT_RTOL = 8.9e-16
+
+
 def find_root_bracketed(
     f: Callable[[float], float],
     lo: float,
@@ -356,7 +371,7 @@ def find_root_bracketed(
         return hi
     if flo * fhi > 0.0:
         raise NoSignChange(f"f({lo}) = {flo} and f({hi}) = {fhi} have equal sign")
-    root = _brentq(f, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = _brentq(f, float(lo), float(hi), xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=200)
     residual = abs(f(root))
     if residual > tol:
         raise BracketFailure(
@@ -616,6 +631,48 @@ def _node_batch(first: int, last: int) -> _NodeBatch:
     return batch
 
 
+# node batches kept per interval.  A D1 layer solve makes about 13
+# quadratures over the same one or two intervals, and the inner panel
+# (0, c^(-1/4)) is the same for every solve at one rho: of the 4150 batches a
+# seed-1 asym_surface pass integrates, 838 are distinct, and this memo builds
+# each of them once a solve.  Batches past level 8 (more than 1024 nodes,
+# 3% of the pass's) are built afresh on every call, so the memo holds at most
+# 16 x 1024 nodes with their weights and slots, under 0.4 MB
+_INTERVAL_MEMO_SIZE = 16
+_INTERVAL_MEMO_LAST_LEVEL = 8
+
+
+@functools.lru_cache(maxsize=_INTERVAL_MEMO_SIZE)
+def _interval_nodes(
+    a: float, b: float, first: int, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """Levels first..last of the rule on [a, b], a < b, as the integrand gets
+    them: the nodes in _node_batch's order, their weights, their slots in the
+    batch's grid and the grid's shape, all read-only.
+
+    The nodes are b - delta and a + delta, with delta = c (1 - tanh sh) in
+    the cancellation-free form that keeps singular-endpoint nodes exact
+    instead of quantized at eps; a node that rounds onto its endpoint (delta
+    underflowed or below half an ulp) is dropped with its weight and slot.
+    """
+    batch = _node_batch(first, last)
+    m, c = 0.5 * (a + b), 0.5 * (b - a)
+    delta = c * 2.0 / batch.denom
+    lead = batch.weight.size - 2 * delta.size  # 1 for level 0's midpoint
+    x = np.empty(batch.weight.size)
+    keep = np.empty(x.size, dtype=bool)
+    x[:lead] = m
+    keep[:lead] = True
+    np.subtract(b, delta, out=x[lead::2])
+    np.add(a, delta, out=x[lead + 1 :: 2])
+    np.less(x[lead::2], b, out=keep[lead::2])
+    np.greater(x[lead + 1 :: 2], a, out=keep[lead + 1 :: 2])
+    kept = (x[keep], batch.weight[keep], batch.slot[keep])
+    for table in kept:
+        table.flags.writeable = False
+    return (*kept, batch.shape)
+
+
 def tanh_sinh(
     f: Callable,
     a: float,
@@ -640,30 +697,23 @@ def tanh_sinh(
     level's terms are summed in the same order either way, so the result is
     the same where f raises at no node the rule uses (the module docstring
     gives the cases where the two forms raise differently).
+
+    The nodes of levels up to 8 on [a, b] (on [b, a] if reversed) come from
+    a memo of the 16 batches last used, and deeper ones are built afresh;
+    the array f gets is read-only.  Either way the nodes, and so the
+    result, are the same bits.
     """
     if a == b:
         return 0.0
     if a > b:
         return -tanh_sinh(f, b, a, rel_tol, max_depth, vectorized=vectorized)
-    m = 0.5 * (a + b)
     c = 0.5 * (b - a)
 
-    def level_sums(batch: _NodeBatch) -> list:
-        # nodes b - delta and a + delta, with delta = c (1 - tanh sh) in the
-        # cancellation-free form that keeps singular-endpoint nodes exact
-        # instead of quantized at eps; a node that rounds onto its endpoint
-        # (delta underflowed or below half an ulp) is dropped
-        delta = c * 2.0 / batch.denom
-        lead = batch.weight.size - 2 * delta.size  # 1 for level 0's midpoint
-        x = np.empty(batch.weight.size)
-        keep = np.empty(x.size, dtype=bool)
-        x[:lead] = m
-        keep[:lead] = True
-        np.subtract(b, delta, out=x[lead::2])
-        np.add(a, delta, out=x[lead + 1 :: 2])
-        np.less(x[lead::2], b, out=keep[lead::2])
-        np.greater(x[lead + 1 :: 2], a, out=keep[lead + 1 :: 2])
-        nodes = x[keep]
+    def level_sums(first: int, last: int) -> list:
+        build = _interval_nodes
+        if last > _INTERVAL_MEMO_LAST_LEVEL:
+            build = _interval_nodes.__wrapped__
+        nodes, weight, slot, shape = build(float(a), float(b), first, last)
         if vectorized:
             # fail where the scalar form's math.sqrt and / would, not go on
             # with nan or inf into the stopping rule
@@ -671,16 +721,13 @@ def tanh_sinh(
                 values = f(nodes)
         else:
             values = np.array([f(v) for v in nodes.tolist()])
-        weight = batch.weight[keep]
         # each level's running total through its terms in node order, one
         # grid row per level: cumsum adds in that sequence, where np.sum
         # would pair terms up and move the last bits.  A dropped node's slot
         # and the padding hold +0.0, which leaves every sum as it was
-        grid = np.zeros(
-            batch.shape[0] * batch.shape[1], dtype=np.result_type(weight, values)
-        )
-        grid[batch.slot[keep]] = weight * values
-        rows = grid.reshape(batch.shape)
+        grid = np.zeros(shape[0] * shape[1], dtype=np.result_type(weight, values))
+        grid[slot] = weight * values
+        rows = grid.reshape(shape)
         sums = rows.cumsum(axis=1, out=rows)[:, -1]
         return (0.0 + sums).tolist()  # a level of -0.0 terms sums to +0.0
 
@@ -689,7 +736,7 @@ def tanh_sinh(
         if vectorized:
             try:
                 last = min(_FIRST_BATCH_LAST_LEVEL, max_depth)
-                batched = level_sums(_node_batch(0, last))
+                batched = level_sums(0, last)
             except FloatingPointError:
                 # the failing node may lie on a level the stopping rule never
                 # reaches, which the scalar path would not evaluate: go level
@@ -697,7 +744,7 @@ def tanh_sinh(
                 pass
         yield from batched
         for level in range(len(batched), max_depth + 1):
-            yield from level_sums(_node_batch(level, level))
+            yield from level_sums(level, level)
 
     sums = all_level_sums()
     total = next(sums)

@@ -36,6 +36,8 @@ from .errors import (
 )
 from .exact import ModelParams
 from .specfun import (
+    BRENT_RTOL,
+    BRENT_XTOL,
     EllipticPair,
     carlson_rf_rd,
     elliptic_KE,
@@ -58,6 +60,10 @@ _ROOT_RESIDUAL_TOL = 1e-10
 _EQ_QUAD_TOL = 1e-11
 _EVAL_QUAD_TOL = 1e-12
 _CURVE_GUARD = 1e-8
+# a D1 rung whose closed-form P (`_d1_sigma_lhs`, within 1e-10 relative of
+# the quadrature) exceeds the target by this much relative is not negative,
+# whether its quadrature would converge or give up
+_CLOSED_FORM_MARGIN = 1e-6
 
 
 def _require_subcritical(rho: float) -> None:
@@ -816,7 +822,9 @@ def _sigma_integrand(b1: float, c: float):
 # distinct (b1, c) inner panels kept.  Only the left-end walk of a
 # D1 solve at x > v* asks for them: 6-7 b1 values a rho (all but the last
 # give up at max_depth), the same for every solve at that rho, so the memo
-# holds the walks of 36 or more rho values and no solve's own b1 values
+# holds the walks of 36 or more rho values and no solve's own b1 values.
+# This memo keeps values; the panel's nodes, shared by every b1 at one rho,
+# are kept by tanh_sinh's own memo of node batches
 _INNER_PANEL_MEMO_SIZE = 256
 
 
@@ -859,12 +867,13 @@ def _bl_eta_integral(upper: float, b1: float, c: float) -> float:
     return _split_quad(h, math.sqrt(upper), c, _EVAL_QUAD_TOL)
 
 
-def _d1_gamma_integral(x: float, b1: float, c: float) -> float:
-    """Gamma = int (v / q)^(3/2) dv over (0, x), q(v) = c v^2 + b1 v + 1 =
-    (1 - w v)(1 - w' v), is x^(5/2) J(1 - w x, 1 - w' x; 1) by v = x / (t + 1):
-    a conjugate pair 1 + b1 x / 2 -+ i (x/2) sqrt(4c - b1^2) where b1^2 < 4c,
-    else real, from the root w = -(b1 + sign(b1) sqrt(b1^2 - 4c)) / 2 that
-    does not cancel and w' = c / w."""
+def _d1_carlson(x: float, b1: float, c: float) -> tuple[float, float, float]:
+    """carlson_rf_rd(1 - w x, 1 - w' x, 1), where q(v) = c v^2 + b1 v + 1 =
+    (1 - w v)(1 - w' v): a conjugate pair 1 + b1 x / 2 -+ i (x/2)
+    sqrt(4c - b1^2) where b1^2 < 4c, else real, from the root w = -(b1 +
+    sign(b1) sqrt(b1^2 - 4c)) / 2 that does not cancel and w' = c / w.  By
+    v = x / (t + 1) the D1 integrals over (0, x) are
+    P = int sqrt(v / q) dv = (2/3) x^(3/2) R_D and Gamma = x^(5/2) J."""
     disc = 4.0 * c - b1 * b1
     if disc > 0.0:
         a = complex(1.0 + 0.5 * b1 * x, 0.5 * x * math.sqrt(disc))
@@ -872,7 +881,19 @@ def _d1_gamma_integral(x: float, b1: float, c: float) -> float:
     else:
         w = -0.5 * (b1 + math.copysign(math.sqrt(-disc), b1))
         a, b = 1.0 - w * x, 1.0 - c / w * x
-    return x * x * math.sqrt(x) * carlson_rf_rd(a, b, 1.0)[2]
+    return carlson_rf_rd(a, b, 1.0)
+
+
+def _d1_gamma_integral(x: float, b1: float, c: float) -> float:
+    """Gamma = int (v / q)^(3/2) dv over (0, x) = x^(5/2) J (`_d1_carlson`)."""
+    return x * x * math.sqrt(x) * _d1_carlson(x, b1, c)[2]
+
+
+def _d1_sigma_lhs(x: float, b1: float, c: float) -> float:
+    """P = _bl_sigma_lhs(x, b1, c) in closed form, (2/3) x^(3/2) R_D
+    (`_d1_carlson`): within 1e-10 relative of the quadrature from 1e-6
+    relative above the floor up, and losing up to 2e-9 nearer it."""
+    return 2.0 / 3.0 * x * math.sqrt(x) * _d1_carlson(x, b1, c)[1]
 
 
 def _gamma_prefactor(x: float, q_over_v: float, rho: float, c: float) -> float:
@@ -1015,7 +1036,20 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
     the floor and the left-end walk's b1 values depend on rho alone, so the
     walk takes its inner panels (0, c^(-1/4)) from _bl_sigma_lhs's shared
     memo, with the bits a fresh quadrature gives; the rungs' and Brent's b1
-    values integrate both panels afresh, leaving the memo to the walks."""
+    values integrate both panels afresh, leaving the memo to the walks.
+
+    The rung search needs the quadrature's value only at the first negative
+    rung and only the sign below it: a rung whose closed-form P is at least
+    1e-6 relative above the target is taken as not negative without one, the
+    decision the quadrature makes there whether it converges or gives up.
+    Brent gets the same bracket and end values either way.
+
+    Brent stops once its sign bracket is narrower than 1e-14 + 8.9e-16 |b1|,
+    about 45 ulps of b1 near |b1| = 1.  Where P is steep, next to the D1/D2
+    curve as x nears v*, that width moves P by more than the absolute 1e-10,
+    so the root is also accepted where its residual is within what the width
+    allows, the width times |dP/db1| = Gamma/2 (`_d1_gamma_integral`).
+    """
     target = 2.0 * math.sqrt(rho) * sigma
     vstar = c**-0.5
     floor = -2.0 * math.sqrt(c) if x >= vstar else -(c * x + 1.0 / x)
@@ -1027,6 +1061,16 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
             return _bl_sigma_lhs(x, b1, c, walking) - target
         except MaxDepthExceeded:
             return math.inf
+
+    def rung_value(b1: float) -> float:
+        # q(v) / v >= b1 - floor on (0, x), so P <= x / sqrt(b1 - floor): the
+        # closed form is tried only where that bound clears the margin
+        least = (1.0 + _CLOSED_FORM_MARGIN) * target
+        if x >= least * math.sqrt(b1 - floor):
+            above = _d1_sigma_lhs(x, b1, c) - target
+            if above >= _CLOSED_FORM_MARGIN * target:
+                return above
+        return g(b1)
 
     span = max(1.0, abs(floor))
     lo = floor + 1e-12 * span
@@ -1057,7 +1101,7 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
         )
 
     hi = _first_negative_rung(
-        g,
+        rung_value,
         floor + span,
         floor,
         count,
@@ -1067,7 +1111,17 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
             (value + target) * math.sqrt(b1 - floor)
         ),
     )
-    return find_root_bracketed(g, lo, hi, tol=_ROOT_RESIDUAL_TOL)
+    root = find_root_bracketed(g, lo, hi, tol=math.inf)
+    residual = abs(g(root))  # read from the memo
+    if residual > _ROOT_RESIDUAL_TOL:
+        width = BRENT_XTOL + BRENT_RTOL * abs(root)
+        allowed = 0.5 * width * _d1_gamma_integral(x, root, c)
+        if not residual <= allowed:
+            raise BracketFailure(
+                f"root at {root} leaves |f| = {residual:.3e} > tol = "
+                f"{_ROOT_RESIDUAL_TOL:.3e} and > {allowed:.3e}, what Brent's width allows"
+            )
+    return root
 
 
 def bl_xsigma_evaluate(
@@ -1081,7 +1135,8 @@ def bl_xsigma_evaluate(
     in D2/D3 within a few 1e-9 relative of the D2/D3 curve, where the
     doubles no longer resolve the root.  D2 and D3 are solved by Newton on
     the Carlson forms of `_solve_alpha`, with no quadrature; D1 keeps Brent
-    over quadrature for P and eta only, its Gamma a Carlson form too.
+    over quadrature for P and eta only, its Gamma a Carlson form too, and
+    P's Carlson form only settles rungs of the bracket search.
     """
     rho = params.rho
     _require_subcritical(rho)

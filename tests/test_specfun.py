@@ -677,3 +677,51 @@ def test_level_tables_built_once() -> None:
         # underflows a suffix of the level, as the scalar loop's break had it
         assert (np.diff(denom) > 0.0).all()
         assert (weight > 0.0).all()
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_node_memo_gives_the_same_bits(case: str, vectorized: bool) -> None:
+    # a cold call builds the interval's nodes, a second reads them from the
+    # memo, and the reversed interval shares them: all give the node-by-node
+    # rule's bits
+    f, a, b = KERNEL_CASES[case][int(vectorized)], *KERNEL_CASES[case][2:]
+    want = _node_by_node_tanh_sinh(KERNEL_CASES[case][0], a, b)
+    specfun._interval_nodes.cache_clear()
+    first = tanh_sinh(f, a, b, vectorized=vectorized)
+    built = specfun._interval_nodes.cache_info()
+    assert built.misses > 0
+    assert tanh_sinh(f, a, b, vectorized=vectorized) == first == want
+    assert tanh_sinh(f, b, a, vectorized=vectorized) == -want
+    again = specfun._interval_nodes.cache_info()
+    assert again.misses == built.misses
+    assert again.hits >= 2 * built.misses
+
+
+def test_node_memo_is_bounded_and_read_only() -> None:
+    # each interval is a new entry; the memo keeps the newest ones only, and
+    # an integrand cannot write into the nodes it shares with later calls
+    specfun._interval_nodes.cache_clear()
+    size = specfun._INTERVAL_MEMO_SIZE
+    for k in range(size + 4):
+        tanh_sinh(lambda v: v, 0.0, 1.0 + k, vectorized=True)
+    info = specfun._interval_nodes.cache_info()
+    assert info.currsize == size
+    assert info.misses >= size + 4
+
+    def writes(v: np.ndarray) -> np.ndarray:
+        v *= 2.0
+        return v
+
+    with pytest.raises(ValueError, match="read-only"):
+        tanh_sinh(writes, 0.0, 1.0, vectorized=True)
+
+
+def test_deep_levels_bypass_the_node_memo() -> None:
+    # 1/v never converges: levels past _INTERVAL_MEMO_LAST_LEVEL are built
+    # afresh, so the memo holds the first batch and the levels up to that one
+    specfun._interval_nodes.cache_clear()
+    with pytest.raises(MaxDepthExceeded):
+        tanh_sinh(lambda v: 1.0 / v, 0.0, 1.0, vectorized=True)
+    last = specfun._INTERVAL_MEMO_LAST_LEVEL
+    assert specfun._interval_nodes.cache_info().currsize == last - specfun._FIRST_BATCH_LAST_LEVEL + 1

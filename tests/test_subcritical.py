@@ -89,6 +89,7 @@ from psq.subcritical import (
     _bl_eta_integral,
     _bl_sigma_lhs,
     _d1_gamma_integral,
+    _d1_sigma_lhs,
     _fixed_n_lhs,
     _real_root_integrals,
     _solve_alpha,
@@ -126,9 +127,10 @@ LAYER_CASES = [
 ]
 
 
-def _mp_d1_gamma(x: float, b1: float, c: float):
-    """The D1 prefactor integral of (v / q)^(3/2) over (0, x), q = c v^2 +
-    b1 v + 1, by 40-digit mpmath quadrature, split around q's minimum at
+def _mp_d1_integral(x: float, b1: float, c: float, power: float = 1.5):
+    """The D1 integral of (v / q)^power over (0, x), q = c v^2 + b1 v + 1:
+    power 3/2 gives the prefactor integral Gamma, 1/2 the layer equation's
+    P.  By 40-digit mpmath quadrature, split around q's minimum at
     v* = c^(-1/2), where next to the floor b1 = -2 sqrt(c) it peaks with
     width sqrt((b1 + 2 sqrt(c)) / c)."""
     with mp.workdps(40):
@@ -139,7 +141,7 @@ def _mp_d1_gamma(x: float, b1: float, c: float):
         for k in (-3, -1, 0, 1, 3):
             if 0 < vstar + k * width < xm:
                 knots.add(vstar + k * width)
-        return mp.quad(lambda v: (v / ((cm * v + b) * v + 1)) ** 1.5, sorted(knots))
+        return mp.quad(lambda v: (v / ((cm * v + b) * v + 1)) ** power, sorted(knots))
 
 
 @pytest.mark.parametrize("x, b1, sigma_lhs, eta, gamma", LAYER_CASES)
@@ -147,7 +149,7 @@ def test_layer_integrals_pinned(x, b1, sigma_lhs, eta, gamma) -> None:
     assert _bl_sigma_lhs(x, b1, C) == sigma_lhs
     assert _bl_eta_integral(x, b1, C) == eta
     got = _d1_gamma_integral(x, b1, C)
-    assert got == pytest.approx(float(_mp_d1_gamma(x, b1, C)), rel=1e-15, abs=0.0)
+    assert got == pytest.approx(float(_mp_d1_integral(x, b1, C)), rel=1e-15, abs=0.0)
     assert got == pytest.approx(gamma, rel=1e-14, abs=0.0)
 
 
@@ -178,7 +180,7 @@ def test_d1_gamma_integral_matches_mpmath(rho, x, b1) -> None:
     c = 1.0 - math.sqrt(rho)
     got = _d1_gamma_integral(x, b1, c)
     bound = 4e-15 + 0.5 * math.ulp(b1) / abs(b1 + 2.0 * math.sqrt(c))
-    assert got == pytest.approx(float(_mp_d1_gamma(x, b1, c)), rel=bound, abs=0.0)
+    assert got == pytest.approx(float(_mp_d1_integral(x, b1, c)), rel=bound, abs=0.0)
 
 
 def test_layer_integral_below_its_floor_raises() -> None:
@@ -239,6 +241,153 @@ def test_bl_xsigma_split_panel_pinned(rho, x, sigma, b1, eta, gamma, log_p) -> N
         assert (sol.b1, sol.eta) == (b1, eta)
         assert sol.gamma == pytest.approx(gamma, rel=1e-14, abs=0.0)
         assert approx.log_value(params.population) == log_p
+
+
+# D1's P in closed form, (2/3) x^(3/2) R_D of the pair `_d1_gamma_integral`
+# uses: at 8 pins against 40-digit mpmath (a conjugate pair before and past
+# v*, a real pair just below -2 sqrt(c) before v* and one past 2 sqrt(c)),
+# and against the layer equation's quadrature on D1 points of the benchmark
+# grids and drawn towards the floor on both sides of v*.  The D1 rung search
+# relies on it only to 1e-6 relative, on rungs at least `span` above the floor
+D1_P_PINS = [
+    (rho, frac * (1.0 - math.sqrt(rho)) ** -0.5, k * (1.0 - math.sqrt(rho)) ** 0.5 + offset)
+    for rho in (0.25, 0.75)
+    for frac, k, offset in ((0.5, 0.3, 0.0), (2.1, -2.0, 1e-3), (0.99, -2.0, -1e-6), (1.01, 0.0, 40.0))
+]
+
+
+@pytest.mark.parametrize("rho, x, b1", D1_P_PINS)
+def test_d1_sigma_lhs_matches_mpmath(rho, x, b1) -> None:
+    # within what one ulp of b1 moves P, ulp(b1) Gamma / 2, and a few eps
+    c = 1.0 - math.sqrt(rho)
+    got = _d1_sigma_lhs(x, b1, c)
+    bound = 4e-15 + math.ulp(b1) * 0.5 * _d1_gamma_integral(x, b1, c) / got
+    want = float(_mp_d1_integral(x, b1, c, power=0.5))
+    assert got == pytest.approx(want, rel=bound, abs=0.0)
+
+
+def _d1_p_points() -> list:
+    """(rho, x, b1): the roots of every 10th D1 point of the seed 1-10
+    asym_surface grids, and 120 points drawn with x within 1e-6 to 0.5
+    relative of v* on either side and b1 from 1e-6 to 1e3 times
+    max(1, |floor|) above the floor."""
+    from perfbench import workloads
+
+    points = []
+    d1 = 0
+    for seed in range(1, 11):
+        for params, grid in workloads.AsymSurface(seed, None).grids:
+            big_n, rho = params.population, params.rho
+            for n, t in grid:
+                label = classify(n, t, params)
+                if label.sub != "D1":
+                    continue
+                d1 += 1
+                if d1 % 10 == 0:
+                    x, sigma = n / math.sqrt(big_n), t / big_n**0.75
+                    c = 1.0 - math.sqrt(rho)
+                    points.append((rho, x, _solve_b1_direct(x, sigma, rho, c)))
+    rng = np.random.default_rng(20)
+    for _ in range(120):
+        rho = float(rng.choice([0.25, 0.75]))
+        c = 1.0 - math.sqrt(rho)
+        x = c**-0.5 * (1.0 + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-6.0, math.log10(0.5)))
+        floor = -2.0 * math.sqrt(c) if x >= c**-0.5 else -(c * x + 1.0 / x)
+        points.append((rho, x, floor + max(1.0, abs(floor)) * 10.0 ** rng.uniform(-6.0, 3.0)))
+    return points
+
+
+def test_d1_sigma_lhs_matches_the_quadrature() -> None:
+    # 1e-10 relative on every point where the quadrature converges; nearer
+    # the floor than 1e-6 both drift (the closed form by up to 2e-9 at 1e-9
+    # above it, where the quadrature gives up)
+    compared = 0
+    for rho, x, b1 in _d1_p_points():
+        c = 1.0 - math.sqrt(rho)
+        try:
+            want = _bl_sigma_lhs(x, b1, c)
+        except MaxDepthExceeded:
+            continue
+        assert _d1_sigma_lhs(x, b1, c) == pytest.approx(want, rel=1e-10, abs=0.0), (rho, x, b1)
+        compared += 1
+    assert compared >= 200
+
+
+@pytest.mark.parametrize(
+    "rho, x, sigma",
+    [(0.25, 0.5, 0.05), (0.25, 0.5, 0.2), (0.25, 1.777, 3.154e-5), (0.75, 3.645, 2.29e-5)],
+)
+def test_d1_rung_search_skips_the_quadrature_below_the_root(monkeypatch, rho, x, sigma) -> None:
+    # with the closed form deciding the rungs that are clearly not negative,
+    # Brent gets the same bracket and root, for at least one quadrature less
+    # (where the root is above rung 0, as here)
+    c = 1.0 - math.sqrt(rho)
+    seen = _counting(monkeypatch, "_bl_sigma_lhs")
+    root = _solve_b1_direct(x, sigma, rho, c)
+    calls = sum(seen.values())
+    monkeypatch.setattr(subcritical, "_CLOSED_FORM_MARGIN", math.inf)
+    seen.clear()
+    assert _solve_b1_direct(x, sigma, rho, c) == root
+    assert sum(seen.values()) >= calls + 1
+
+
+def test_d1_solve_builds_each_interval_once(monkeypatch) -> None:
+    # x > v*: every quadrature of the solve integrates (0, c^(-1/4)) or
+    # (c^(-1/4), sqrt(x)); the node memo builds each of their batches once
+    from psq import specfun
+
+    asked: Counter = Counter()
+    memo = specfun._interval_nodes
+
+    def counted(a, b, first, last):
+        asked[(a, b, first, last)] += 1
+        return memo(a, b, first, last)
+
+    counted.__wrapped__ = memo.__wrapped__
+    monkeypatch.setattr(specfun, "_interval_nodes", counted)
+    memo.cache_clear()
+    subcritical._sigma_inner_panel.cache_clear()
+    _solve_b1_direct(2.045, 8.97, PARAMS.rho, C)
+    assert {(a, b) for a, b, _, _ in asked} == {(0.0, C**-0.25), (C**-0.25, math.sqrt(2.045))}
+    assert sum(asked.values()) > 2 * len(asked)
+    assert memo.cache_info().misses == len(asked)
+
+
+@pytest.mark.parametrize("rho, x, sigma, b1, eta, log_p", [
+    (0.25, 0.5, 0.05, 90.80153002076398, -2.823370516248193, -142.7483121178937),
+    (0.25, 2.045, 8.97, -1.4100910162408555, -8.035928232345816, -69760.61678151373),
+])
+def test_d1_bits_with_the_node_memo_cold_and_warm(rho, x, sigma, b1, eta, log_p) -> None:
+    # one point before v* (one panel) and one past it (two), recorded before
+    # the node memo: the same bits from fresh nodes and from the memo's
+    from psq import specfun
+
+    params = ModelParams(population=10**6, rho=rho)
+    specfun._interval_nodes.cache_clear()
+    for _ in range(2):
+        sol, approx = bl_xsigma_evaluate(x, sigma, params)
+        assert (sol.b1, sol.eta, approx.log_value(params.population)) == (b1, eta, log_p)
+
+
+@pytest.mark.parametrize("sigma", [12.760265044051096, 12.760265044051096 * (1.0 - 1e-9)])
+def test_d1_next_to_the_d1_d2_curve(sigma) -> None:
+    # 1.1e-12 and 1e-9 relative below the curve at x = 0.996 v*, rho = 0.75:
+    # P is steep at the root, and Brent's 1e-14 stopping width leaves a
+    # residual of 3.7e-10, 18 ulps of b1 times Gamma/2, which the solve
+    # accepts as within that width.  log p lies on the line through the D2
+    # values just across
+    rho, x = 0.75, 2.7209516072753126
+    params = ModelParams(population=10**6, rho=rho)
+    curve = d1d2_curve_sigma(x, rho)
+    assert subcritical._xsigma_region(x, sigma, rho) == "D1"
+
+    def log_p(s: float) -> float:
+        return bl_xsigma_evaluate(x, s, params)[1].log_value(params.population)
+
+    across = [curve, curve * (1.0 + 1e-9)]
+    assert [subcritical._xsigma_region(x, s, rho) for s in across] == ["D2", "D2"]
+    slope = (log_p(across[1]) - log_p(across[0])) / (across[1] - across[0])
+    assert log_p(sigma) == pytest.approx(log_p(curve) + slope * (sigma - curve), rel=0.0, abs=1e-7)
 
 
 def _t2_quadrature(a_val: float, c: float) -> tuple:
