@@ -112,7 +112,10 @@ class RootNotBracketed(PSQError):
 
 
 class BracketFailure(PSQError):
-    """Bracketed solve did not converge; signals quadrature misconfiguration."""
+    """A layer root solve gave no root it can stand by: a Newton solve that
+    the doubles leave unresolved or that meets a nan, a prefactor that
+    degenerates at the root, D1's ladder with no rung past the root, or a
+    D1 Brent root whose residual exceeds what its bracket's width allows."""
 
 
 # -- the M/M/1-PS corner: transform, inversion, tail truncation ---------------

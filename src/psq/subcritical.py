@@ -18,7 +18,6 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,6 +70,16 @@ def _require_subcritical(rho: float) -> None:
         raise NotSubcritical(f"rho = {rho} is not subcritical")
 
 
+def _require_state(n: int, big_n: int) -> None:
+    if not (isinstance(n, (int, np.integer)) and 0 <= n <= big_n - 1):
+        raise InvalidInput(f"n must be an integer in [0, {big_n - 1}], got {n!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise InvalidInput(f"{name} must be positive and finite, got {value}")
+
+
 def _big_r(xi: float, rho: float) -> float:
     # R = sqrt(rho^2 xi^2 + 4 rho xi (1 - sqrt(rho))), the recurring radical
     return math.sqrt(rho * xi * (rho * xi + 4.0 * (1.0 - math.sqrt(rho))))
@@ -95,19 +104,19 @@ class CriticalCurves:
     rho: float
 
     def tau0(self, xi: float) -> float:
-        if xi < 0.0:
+        if not xi >= 0.0:
             raise InvalidInput(f"xi must be nonnegative, got {xi}")
         return math.log1p(self.rho * xi / (1.0 - self.rho)) / self.rho
 
     def tau_star(self, xi: float) -> float:
-        if xi < 0.0:
+        if not xi >= 0.0:
             raise InvalidInput(f"xi must be nonnegative, got {xi}")
         c = 1.0 - math.sqrt(self.rho)
         lift = (self.rho * xi + _big_r(xi, self.rho)) / (2.0 * c)
         return math.log1p(lift) / self.rho
 
     def xi0(self, tau: float) -> float:
-        if tau < 0.0:
+        if not tau >= 0.0:
             raise InvalidInput(f"tau must be nonnegative, got {tau}")
         try:
             growth = math.expm1(self.rho * tau)
@@ -116,7 +125,7 @@ class CriticalCurves:
         return (1.0 - self.rho) / self.rho * growth
 
     def xi_star(self, tau: float) -> float:
-        if tau < 0.0:
+        if not tau >= 0.0:
             raise InvalidInput(f"tau must be nonnegative, got {tau}")
         c = 1.0 - math.sqrt(self.rho)
         try:
@@ -193,10 +202,9 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     rho = params.rho
     _require_subcritical(rho)
     big_n = params.population
-    if not 0 <= n <= big_n - 1:
-        raise InvalidInput(f"n must be in [0, {big_n - 1}], got {n}")
-    if t < 0.0:
-        raise InvalidInput(f"t must be nonnegative, got {t}")
+    _require_state(n, big_n)
+    if not 0.0 <= t < math.inf:
+        raise InvalidInput(f"t must be finite and nonnegative, got {t}")
     sqrt_n = math.sqrt(big_n)
     xi = n / big_n
     tau = t / big_n
@@ -245,7 +253,7 @@ def d1d2_curve_sigma(x: float, rho: float) -> float:
     vertical asymptote x = (1 - sqrt(rho))^(-1/2).
     """
     _require_subcritical(rho)
-    if x <= 0.0:
+    if not x > 0.0:
         raise InvalidInput(f"x must be positive, got {x}")
     c = 1.0 - math.sqrt(rho)
     q = c**0.25
@@ -407,7 +415,7 @@ def _psi_value(xi: float, tau: float, rho: float) -> float:
 def r3_big_f(xi: float, rho: float) -> float:
     """Tau-free exponent F(xi); F(0) = 0 and F < 0 for xi > 0."""
     _require_subcritical(rho)
-    if xi < 0.0:
+    if not xi >= 0.0:
         raise InvalidInput(f"xi must be nonnegative, got {xi}")
     if xi == 0.0:
         return 0.0
@@ -417,7 +425,7 @@ def r3_big_f(xi: float, rho: float) -> float:
 def r3_j_factor(xi: float, rho: float) -> float:
     """Spatial constant J(xi) shared by R3 and T2."""
     _require_subcritical(rho)
-    if xi <= 0.0:
+    if not xi > 0.0:
         raise InvalidInput(f"xi must be positive, got {xi}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
@@ -508,75 +516,6 @@ def t1_evaluate(pt: XiTauPoint, params: ModelParams) -> float:
         * (rho * xi + 1.0 - rho)
     )
     return big_n**power * v_fac * parabolic_cylinder_H(t1_delta1(pt, params), rho)
-
-
-# ---------------------------------------------------------------------------
-# upper bracket ends on a doubling ladder
-# ---------------------------------------------------------------------------
-
-
-def _first_negative_rung(
-    g: Callable[[float], float],
-    first: float,
-    floor: float,
-    count: int,
-    failure: Callable[[], str],
-    guess: int = 0,
-    extrapolate: Callable[[float, float], int] | None = None,
-) -> float:
-    """The first rung b with g(b) < 0 of the ladder that starts at `first`
-    and puts each of its `count` rungs twice as far from `floor` as the
-    last, as a walk up the ladder finds it.
-
-    g's finite values along the ladder must change sign at most once, from
-    not negative to negative, as an equation decreasing in its unknown
-    does; a non-finite value (a solve's sentinel for a quadrature that gave
-    up) counts as not negative, as in the walk.  The search probes rung
-    `guess`, then the rung `extrapolate(b, g(b))` predicts from that value,
-    then gallops from the nearest decided rung and bisects until it holds k
-    with g(rung k) < 0 and k = 0 or g(rung k - 1) >= 0: about
-    2 log2(count) + 2 evaluations at most.  A finite g(rung k - 1) puts
-    every finite value below it on the same side, so k is the walk's
-    answer; where it is not finite the search walks the ladder from rung 0
-    instead (its callers memoise g, so rungs already probed cost nothing).
-    The rungs are built by the walk's float expression, so they are the
-    walk's to the bit.  No negative rung raises BracketFailure with the
-    message failure() returns.
-    """
-    rungs = [first]
-    lo, hi = -1, count  # last rung seen not negative, first seen negative
-    lo_value = math.nan
-    k = min(max(guess, 0), count - 1)
-    step = 1
-    while True:
-        while len(rungs) <= k:
-            rungs.append(floor + (rungs[-1] - floor) * 2.0)
-        value = g(rungs[k])
-        if value < 0.0:
-            hi = k
-        else:
-            lo, lo_value = k, value
-        if hi - lo == 1:
-            break
-        if extrapolate is not None:
-            k, extrapolate = extrapolate(rungs[k], value), None
-            if lo < k < hi:
-                continue
-        if hi == count:  # gallop up
-            k = min(lo + step, count - 1)
-            step *= 2
-        elif lo == -1:  # gallop down
-            k = max(hi - step, 0)
-            step *= 2
-        else:
-            k = (lo + hi) // 2
-    if lo >= 0 and not math.isfinite(lo_value):
-        while len(rungs) < count:
-            rungs.append(floor + (rungs[-1] - floor) * 2.0)
-        hi = next((k for k, b in enumerate(rungs) if g(b) < 0.0), count)
-    if hi == count:
-        raise BracketFailure(failure())
-    return rungs[hi]
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +682,7 @@ def t2_evaluate(
     """
     rho = params.rho
     _require_subcritical(rho)
-    if xi <= 0.0:
-        raise InvalidInput(f"xi must be positive, got {xi}")
+    _require_positive("xi", xi)
     if abs(delta) > _T2_DELTA_MAX:
         raise OutOfRegion(f"Delta={delta} is outside the T2 band |Delta| <= {_T2_DELTA_MAX}")
     sr = math.sqrt(rho)
@@ -1038,11 +976,16 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
     memo, with the bits a fresh quadrature gives; the rungs' and Brent's b1
     values integrate both panels afresh, leaving the memo to the walks.
 
-    The rung search needs the quadrature's value only at the first negative
-    rung and only the sign below it: a rung whose closed-form P is at least
-    1e-6 relative above the target is taken as not negative without one, the
-    decision the quadrature makes there whether it converges or gives up.
-    Brent gets the same bracket and end values either way.
+    The upper end is the first negative rung of a walk up the ladder floor +
+    span 2^k (k < 200), found in one pass.  q(v) / v >= b1 - floor on (0, x),
+    so P <= x / sqrt(b1 - floor), and the pass starts at the first rung where
+    that bound is below the target.  It steps down while the closed-form P
+    (`_d1_sigma_lhs`) of the rung below is under 1 + 1e-6 times the target: a
+    rung above that margin is not negative, the decision its quadrature makes
+    whether it converges or gives up.  It then steps up while the quadrature
+    is not negative, so Brent gets the walk's bracket and end values, with a
+    quadrature only at the rungs the climb visits.  No negative rung raises
+    BracketFailure.
 
     Brent stops once its sign bracket is narrower than 1e-14 + 8.9e-16 |b1|,
     about 45 ulps of b1 near |b1| = 1.  Where P is steep, next to the D1/D2
@@ -1062,16 +1005,6 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
         except MaxDepthExceeded:
             return math.inf
 
-    def rung_value(b1: float) -> float:
-        # q(v) / v >= b1 - floor on (0, x), so P <= x / sqrt(b1 - floor): the
-        # closed form is tried only where that bound clears the margin
-        least = (1.0 + _CLOSED_FORM_MARGIN) * target
-        if x >= least * math.sqrt(b1 - floor):
-            above = _d1_sigma_lhs(x, b1, c) - target
-            if above >= _CLOSED_FORM_MARGIN * target:
-                return above
-        return g(b1)
-
     span = max(1.0, abs(floor))
     lo = floor + 1e-12 * span
     g_lo = g(lo)
@@ -1085,33 +1018,24 @@ def _solve_b1_direct(x: float, sigma: float, rho: float, c: float) -> float:
             f"layer equation has no solution on this branch at x={x}, sigma={sigma}"
         )
     walking = False
-    # upper end: the first negative rung of the ladder floor + span 2^k
-    # (k < 200).  At small sigma the root is 1e8-1e10 and that rung is the
-    # 30th-40th.  lhs ~ x / sqrt(b1 - floor) overstates the left side, so the
-    # first rung it puts below the target is the answer or one above it;
-    # the search starts a rung lower, where the value found, scaled the same
-    # way, then names the answer, and gallops and bisects only if it is wrong
+    # upper end: at small sigma the root is 1e8-1e10, the 30th-40th rung
     count = 200
-
-    def first_rung_under(scale: float) -> int:
-        # the first k where scale / sqrt(span 2^k), about the rung's
-        # scale / sqrt(b1 - floor), is below the target
-        return bisect_left(
-            range(count), True, key=lambda k: scale < target * math.sqrt(span * 2.0**k)
-        )
-
-    hi = _first_negative_rung(
-        rung_value,
-        floor + span,
-        floor,
-        count,
-        lambda: f"upper bracket end not found at x={x}, sigma={sigma}",
-        guess=first_rung_under(x) - 1,
-        extrapolate=lambda b1, value: first_rung_under(
-            (value + target) * math.sqrt(b1 - floor)
-        ),
+    k = bisect_left(
+        range(count - 1), True, key=lambda j: x < target * math.sqrt(span * 2.0**j)
     )
-    root = find_root_bracketed(g, lo, hi, tol=math.inf)
+    rungs = [floor + span]
+    while len(rungs) <= k:
+        rungs.append(floor + (rungs[-1] - floor) * 2.0)
+    least = (1.0 + _CLOSED_FORM_MARGIN) * target
+    while k > 0 and _d1_sigma_lhs(x, rungs[k - 1], c) < least:
+        k -= 1
+    while not g(rungs[k]) < 0.0:
+        k += 1
+        if k == count:
+            raise BracketFailure(f"upper bracket end not found at x={x}, sigma={sigma}")
+        if k == len(rungs):
+            rungs.append(floor + (rungs[-1] - floor) * 2.0)
+    root = find_root_bracketed(g, lo, rungs[k])
     residual = abs(g(root))  # read from the memo
     if residual > _ROOT_RESIDUAL_TOL:
         width = BRENT_XTOL + BRENT_RTOL * abs(root)
@@ -1136,14 +1060,13 @@ def bl_xsigma_evaluate(
     doubles no longer resolve the root.  D2 and D3 are solved by Newton on
     the Carlson forms of `_solve_alpha`, with no quadrature; D1 keeps Brent
     over quadrature for P and eta only, its Gamma a Carlson form too, and
-    P's Carlson form only settles rungs of the bracket search.
+    P's Carlson form only decides where the pass for the upper bracket end
+    starts climbing (`_solve_b1_direct`).
     """
     rho = params.rho
     _require_subcritical(rho)
-    if x <= 0.0:
-        raise InvalidInput(f"x must be positive, got {x}")
-    if sigma <= 0.0:
-        raise InvalidInput(f"sigma must be positive, got {sigma}")
+    _require_positive("x", x)
+    _require_positive("sigma", sigma)
     sr = math.sqrt(rho)
     c = 1.0 - sr
     vstar = c**-0.5
@@ -1242,9 +1165,8 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
     """
     rho = params.rho
     _require_subcritical(rho)
-    if n < 0:
-        raise InvalidInput(f"n must be nonnegative, got {n}")
-    if sigma <= 0.0:
+    _require_state(n, params.population)
+    if not sigma > 0.0:
         raise InvalidInput(f"sigma must be positive, got {sigma}")
     sr = math.sqrt(rho)
     c = 1.0 - sr
@@ -1307,10 +1229,8 @@ def bl_xtau_evaluate(x: float, tau: float, params: ModelParams) -> LogDensityApp
     """Boundary-layer density at n = x sqrt(N), t = tau N; fully closed form."""
     rho = params.rho
     _require_subcritical(rho)
-    if x <= 0.0:
-        raise InvalidInput(f"x must be positive, got {x}")
-    if tau <= 0.0:
-        raise InvalidInput(f"tau must be positive, got {tau}")
+    _require_positive("x", x)
+    _require_positive("tau", tau)
     sr = math.sqrt(rho)
     c = 1.0 - sr
     q4 = c**0.25
@@ -1342,10 +1262,8 @@ def bl_ntau_evaluate(n: int, tau: float, params: ModelParams) -> LogDensityAppro
     """Boundary-layer density at fixed n and t = tau N; fully closed form."""
     rho = params.rho
     _require_subcritical(rho)
-    if n < 0:
-        raise InvalidInput(f"n must be nonnegative, got {n}")
-    if tau <= 0.0:
-        raise InvalidInput(f"tau must be positive, got {tau}")
+    _require_state(n, params.population)
+    _require_positive("tau", tau)
     sr = math.sqrt(rho)
     c = 1.0 - sr
     coeff_o1 = (
@@ -1377,8 +1295,8 @@ _EIGVEC_X_MAX = 4.0
 
 
 def _check_mode_index(j: int, population: int) -> None:
-    if j < 0:
-        raise InvalidInput(f"mode index must be nonnegative, got {j}")
+    if not (isinstance(j, (int, np.integer)) and j >= 0):
+        raise InvalidInput(f"mode index must be a nonnegative integer, got {j!r}")
     if j > population**0.25 / 4.0:
         raise IndexTooLarge(
             f"mode index {j} exceeds N^(1/4)/4 = {population ** 0.25 / 4.0:.3f}"
@@ -1438,9 +1356,9 @@ def eigvec_shape_g(j: int, x: float, rho: float) -> float:
     where mode j's sign changes accumulate.
     """
     _require_subcritical(rho)
-    if j < 0:
-        raise InvalidInput(f"mode index must be nonnegative, got {j}")
-    if x <= 0.0:
+    if not (isinstance(j, (int, np.integer)) and j >= 0):
+        raise InvalidInput(f"mode index must be a nonnegative integer, got {j!r}")
+    if not x > 0.0:
         raise InvalidInput(f"x must be positive, got {x}")
     c = 1.0 - math.sqrt(rho)
     q4 = c**0.25
@@ -1474,8 +1392,7 @@ def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> tuple[int, float]:
     _require_subcritical(rho)
     big_n = params.population
     _check_mode_index(j, big_n)
-    if not 0 <= n <= big_n - 1:
-        raise InvalidInput(f"n must be in [0, {big_n - 1}], got {n}")
+    _require_state(n, big_n)
     sr = math.sqrt(rho)
     c = 1.0 - sr
     ln_rho = math.log(rho)

@@ -50,8 +50,8 @@ class XiTauPoint:
     def __post_init__(self) -> None:
         if not 0.0 < self.xi <= 1.0:
             raise InvalidInput(f"xi must lie in (0, 1], got {self.xi}")
-        if self.tau < 0.0:
-            raise InvalidInput(f"tau must be nonnegative, got {self.tau}")
+        if not 0.0 <= self.tau < math.inf:
+            raise InvalidInput(f"tau must be finite and nonnegative, got {self.tau}")
 
     @classmethod
     def from_indices(cls, n: int, t: float, population: int) -> XiTauPoint:
@@ -146,7 +146,7 @@ def small_n_scale_super(n: int, tau: float, params: ModelParams) -> float:
     stays finite as rho falls to 1, where alpha0 grows without bound.
     """
     _require_supercritical(params)
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise InvalidInput(f"tau must be positive, got {tau}")
     rho = params.rho
     alpha0 = rho / (rho - 1.0)
@@ -193,6 +193,8 @@ def uncond_correction_kernel(tau: float, rho: float) -> float:
     """O(N^-2) unconditional correction; integrates to zero over tau."""
     if rho <= 1.0:
         raise NotSupercritical(f"correction kernel requires rho > 1, got {rho}")
+    if not tau >= 0.0:
+        raise InvalidInput(f"tau must be nonnegative, got {tau}")
     gap = rho - 1.0
     return rho**3 / gap**5 * (tau + (1.0 - 2.0 * rho) / rho) * math.exp(
         -rho * tau / gap
@@ -210,7 +212,7 @@ def unconditional_super(
     kept as is.
     """
     _require_supercritical(params)
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise InvalidInput(f"tau must be nonnegative, got {tau}")
     rho = params.rho
     big_n = params.population

@@ -49,6 +49,7 @@ from psq.supercritical import (
     eigen_asym_super,
     large_rho_spectrum,
     small_n_scale_super,
+    uncond_correction_kernel,
     unconditional_super,
 )
 
@@ -58,14 +59,22 @@ BAD_INPUT = {
     "model-rho-inf": lambda: ModelParams(10, math.inf),
     "xi-tau-point-xi": lambda: XiTauPoint(0.0, 1.0),
     "xi-tau-point-tau": lambda: XiTauPoint(0.5, -1.0),
+    "xi-tau-point-tau-nan": lambda: XiTauPoint(0.3, math.nan),
+    "xi-tau-point-tau-inf": lambda: XiTauPoint(0.3, math.inf),
     "small-n-tau": lambda: small_n_scale_super(1, 0.0, SUPER),
+    "small-n-tau-nan": lambda: small_n_scale_super(1, math.nan, SUPER),
     "unconditional-tau": lambda: unconditional_super(-1.0, SUPER),
+    "unconditional-tau-nan": lambda: unconditional_super(math.nan, SUPER),
+    "correction-kernel-tau-nan": lambda: uncond_correction_kernel(math.nan, 2.0),
     "eigen-index": lambda: eigen_asym_super(-1, SUPER),
     "large-rho-state": lambda: large_rho_spectrum(SUPER).phi0_correction(200),
     "hermite-index": lambda: hermite_He(201, 0.0),
+    "hermite-index-fraction": lambda: hermite_He(2.5, 0.0),
     "loop-series-index": lambda: loop_series_Q_log(-1),
     "loop-series-log-index": lambda: loop_series_Q_log(501),
+    "loop-series-index-fraction": lambda: loop_series_Q_log(2.5),
     "harmonic-index": lambda: harmonic(-1),
+    "harmonic-index-fraction": lambda: harmonic(2.5),
     "parabolic-cylinder-rho": lambda: parabolic_cylinder_H(0.0, 1.0),
 }
 

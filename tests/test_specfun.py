@@ -378,15 +378,6 @@ def test_root_no_sign_change() -> None:
         find_root_bracketed(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
-def test_root_residual_check() -> None:
-    # A step function gives Brent a "root" where |f| stays large.
-    def step(x: float) -> float:
-        return -1.0 if x < 0.5 else 1.0
-
-    with pytest.raises(BracketFailure):
-        find_root_bracketed(step, 0.0, 1.0)
-
-
 def _log_line(floor: float, root: float, calls: list):
     # f = log((x - floor) / (root - floor)), linear in log(x - floor)
     def fdf(x: float) -> tuple:

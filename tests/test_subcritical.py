@@ -36,9 +36,10 @@ the D2/D3 curve, the same F, matches 40-digit mpmath.
 
 Also here: `classify` gives every (n, t) one label (a hypothesis property
 test); each D1 root solve evaluates its layer equation once per distinct
-argument; the upper bracket end's ladder search returns the rung a
-rung-by-rung walk finds (a hypothesis property test) in few evaluations,
-and the D1 roots keep their recorded bits; the bounded memo of the
+argument; the upper bracket end is the rung a rung-by-rung walk finds,
+reached in few evaluations, also where the target sits within the closed
+form's margin of a rung, and a root whose residual Brent's width does not
+allow raises BracketFailure; the D1 roots keep their recorded bits; the bounded memo of the
 layer equation's inner panel gives the bits of a fresh quadrature, replays
 its MaxDepthExceeded, spares later solves at one rho their left-end walk
 and holds nothing but the walks; bad caller input raises
@@ -53,7 +54,6 @@ form, stays finite where its linear form left double range.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import sys
 from collections import Counter
@@ -606,64 +606,88 @@ def test_layer_roots_pinned(rho, x, sigma, region, root) -> None:
     assert got == pytest.approx(float.fromhex(root), rel=4e-15, abs=0.0)
 
 
-@st.composite
-def _ladders(draw):
-    """Ladder values: a leading run of +inf (quadratures that gave up), then
-    finite values >= 0, then negative ones, any run possibly empty, and
-    perhaps one more +inf among the negative ones; a guess and an
-    extrapolated index that may lie anywhere, even off the ladder."""
-    infs, nonneg, neg = (draw(st.integers(0, 70)) for _ in range(3))
-    finite = st.floats(0.0, 1e6)
-    values = (
-        [math.inf] * infs
-        + [draw(finite) for _ in range(nonneg)]
-        + [-draw(finite.filter(bool)) for _ in range(neg)]
-    )
-    assume(values)
-    if neg and draw(st.booleans()):
-        values[infs + nonneg + draw(st.integers(0, neg - 1))] = math.inf
-    reach = st.integers(-3, len(values) + 3)
-    predicted = draw(st.none() | reach)
-    return values, draw(reach), predicted
+def _d1_ladder(x: float, c: float) -> list:
+    """The 200 rungs floor + span 2^k of the D1 upper bracket end, each built
+    from the last as a walk up the ladder builds it."""
+    floor = -2.0 * math.sqrt(c) if x >= c**-0.5 else -(c * x + 1.0 / x)
+    rungs = [floor + max(1.0, abs(floor))]
+    while len(rungs) < 200:
+        rungs.append(floor + (rungs[-1] - floor) * 2.0)
+    return rungs
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=200)
-@given(_ladders())
-def test_first_negative_rung_matches_the_walk(ladder) -> None:
-    values, guess, predicted = ladder
-    # the ladder 0, 1, 3, 7, ...: each rung twice as far from -1 as the last
-    rungs = [0.0]
-    while len(rungs) < len(values):
-        rungs.append(-1.0 + (rungs[-1] + 1.0) * 2.0)
-    index = {b: k for k, b in enumerate(rungs)}
-    calls: Counter = Counter()
+def _d1_bracket(monkeypatch, x: float, sigma: float, rho: float, c: float) -> tuple:
+    """The (lo, hi) that `_solve_b1_direct` hands Brent."""
+    brackets = []
+    inner = subcritical.find_root_bracketed
 
-    @functools.cache
-    def g(b: float) -> float:
-        calls[b] += 1
-        return values[index[b]]
+    def recorded(g, lo, hi):
+        brackets.append((lo, hi))
+        return inner(g, lo, hi)
 
-    def search() -> float:
-        return subcritical._first_negative_rung(
-            g, 0.0, -1.0, len(values), lambda: "no rung", guess, extrapolate
-        )
+    monkeypatch.setattr(subcritical, "find_root_bracketed", recorded)
+    _solve_b1_direct(x, sigma, rho, c)
+    (bracket,) = brackets
+    return bracket
 
-    extrapolate = None if predicted is None else lambda b, value: predicted
-    walk = next((k for k, v in enumerate(values) if v < 0.0), None)
-    if walk is None:
-        with pytest.raises(BracketFailure) as info:
-            search()
-        assert info.value.args == ("no rung",)
-    else:
-        assert search() == rungs[walk]
-    # a finite value below the crossing (or at the top rung) settles it in
-    # the bisection's budget; where the search may have seen a +inf there,
-    # it walks the ladder up to the walk's rung again
-    last = walk if walk is not None else len(values)
-    budget = 2.0 * math.log2(len(values)) + 3.0
-    if math.inf in values[max(last - 1, 0) :]:
-        budget += last + 1
-    assert len(calls) <= budget
+
+@pytest.mark.parametrize(
+    "rho, x, sigma",
+    [
+        (0.25, 0.5, 0.05),
+        (0.25, 0.5, 0.2),
+        (0.25, 1.838, 10.0),  # the root b1 is negative
+        (0.25, 2.045, 8.97),  # the root is at rung 0 or close to it
+        # tiny sigma: the root is the 28th-33rd rung
+        (0.25, 0.3, 1e-5),
+        (0.25, 1.777, 3.154e-5),
+        (0.75, 3.645, 2.29e-5),
+    ],
+)
+def test_d1_upper_bracket_is_the_walks_first_negative_rung(monkeypatch, rho, x, sigma) -> None:
+    # a quadrature that gives up counts as not negative, as in the walk
+    c = 1.0 - math.sqrt(rho)
+    target = 2.0 * math.sqrt(rho) * sigma
+    assert subcritical._xsigma_region(x, sigma, rho) == "D1"
+
+    def negative(b1: float) -> bool:
+        try:
+            return _bl_sigma_lhs(x, b1, c) < target
+        except MaxDepthExceeded:
+            return False
+
+    rungs = _d1_ladder(x, c)
+    walk = next(b for b in rungs if negative(b))
+    assert _d1_bracket(monkeypatch, x, sigma, rho, c)[1] == walk
+
+
+@pytest.mark.parametrize("rho, x, rung", [(0.25, 0.5, 3), (0.25, 1.777, 20), (0.75, 3.645, 30)])
+def test_d1_upper_bracket_steps_up_past_a_rung_within_the_margin(
+    monkeypatch, rho, x, rung
+) -> None:
+    # the target sits just under the rung's P, within the closed form's 1e-6
+    # margin: the closed form cannot settle that rung, so its quadrature
+    # runs, finds it not negative, and the next rung ends the bracket
+    c = 1.0 - math.sqrt(rho)
+    rungs = _d1_ladder(x, c)
+    sigma = _bl_sigma_lhs(x, rungs[rung], c) / (1.0 + 5e-7) / (2.0 * math.sqrt(rho))
+    assert subcritical._xsigma_region(x, sigma, rho) == "D1"
+    seen = _counting(monkeypatch, "_bl_sigma_lhs")
+    assert _d1_bracket(monkeypatch, x, sigma, rho, c)[1] == rungs[rung + 1]
+    assert [b1 for b1 in seen if b1 in rungs] == rungs[rung : rung + 2]
+
+
+def test_d1_root_residual_check(monkeypatch) -> None:
+    # a step in b1 gives Brent a "root" where |f| stays large
+    x, sigma = 0.5, 0.05
+    target = 2.0 * math.sqrt(PARAMS.rho) * sigma
+
+    def step(x: float, b1: float, c: float, shared: bool = False) -> float:
+        return 2.0 * target if b1 < 1.0 else 0.0
+
+    monkeypatch.setattr(subcritical, "_bl_sigma_lhs", step)
+    with pytest.raises(BracketFailure, match="Brent's width"):
+        _solve_b1_direct(x, sigma, PARAMS.rho, C)
 
 
 def _counting_depth_fails(monkeypatch) -> list:
@@ -816,30 +840,52 @@ BAD_INPUT = {
     "classify-n-low": lambda: classify(-1, 1.0, PARAMS),
     "classify-n-high": lambda: classify(PARAMS.population, 1.0, PARAMS),
     "classify-t": lambda: classify(5, -1.0, PARAMS),
+    "classify-t-nan": lambda: classify(5000, math.nan, PARAMS),
+    "classify-t-inf": lambda: classify(5000, math.inf, PARAMS),
+    "classify-n-fraction": lambda: classify(2.5, 1.0, PARAMS),
     "regime-kind": lambda: RegimeLabel("R9", 0.1, 0.1, 1.0, 1.0),
     "tau0": lambda: _CURVES.tau0(-0.1),
     "tau_star": lambda: _CURVES.tau_star(-0.1),
     "xi0": lambda: _CURVES.xi0(-0.1),
     "xi_star": lambda: _CURVES.xi_star(-0.1),
+    "tau0-nan": lambda: _CURVES.tau0(math.nan),
+    "tau_star-nan": lambda: _CURVES.tau_star(math.nan),
+    "xi0-nan": lambda: _CURVES.xi0(math.nan),
+    "xi_star-nan": lambda: _CURVES.xi_star(math.nan),
     "d1d2-curve": lambda: d1d2_curve_sigma(0.0, 0.25),
+    "d1d2-curve-nan": lambda: d1d2_curve_sigma(math.nan, 0.25),
     "d2d3-curve": lambda: d2d3_curve_sigma(5.0, 0.25),
     "r3-big-f": lambda: r3_big_f(-0.1, 0.25),
+    "r3-big-f-nan": lambda: r3_big_f(math.nan, 0.25),
     "r3-j-factor": lambda: r3_j_factor(0.0, 0.25),
+    "r3-j-factor-nan": lambda: r3_j_factor(math.nan, 0.25),
     "t2-solve": lambda: t2_solve_A(math.nan, 0.25),
     "t2-evaluate": lambda: t2_evaluate(0.0, 1.0, PARAMS),
+    "t2-evaluate-nan": lambda: t2_evaluate(math.nan, 0.0, PARAMS),
     "bl-xsigma-x": lambda: bl_xsigma_evaluate(0.0, 1.0, PARAMS),
+    "bl-xsigma-x-inf": lambda: bl_xsigma_evaluate(math.inf, 1.0, PARAMS),
     "bl-xsigma-sigma": lambda: bl_xsigma_evaluate(0.5, 0.0, PARAMS),
+    "bl-xsigma-sigma-nan": lambda: bl_xsigma_evaluate(0.5, math.nan, PARAMS),
     "bl-nsigma-n": lambda: bl_nsigma_evaluate(-1, 1.0, PARAMS),
+    "bl-nsigma-n-fraction": lambda: bl_nsigma_evaluate(2.5, 1.0, PARAMS),
     "bl-nsigma-sigma": lambda: bl_nsigma_evaluate(3, 0.0, PARAMS),
+    "bl-nsigma-sigma-nan": lambda: bl_nsigma_evaluate(3, math.nan, PARAMS),
     "bl-xtau-x": lambda: bl_xtau_evaluate(0.0, 1.0, PARAMS),
     "bl-xtau-tau": lambda: bl_xtau_evaluate(1.0, 0.0, PARAMS),
+    "bl-xtau-tau-nan": lambda: bl_xtau_evaluate(1.0, math.nan, PARAMS),
     "bl-ntau-n": lambda: bl_ntau_evaluate(-1, 1.0, PARAMS),
+    "bl-ntau-n-fraction": lambda: bl_ntau_evaluate(2.5, 1.0, PARAMS),
     "bl-ntau-tau": lambda: bl_ntau_evaluate(3, 0.0, PARAMS),
+    "bl-ntau-tau-inf": lambda: bl_ntau_evaluate(3, math.inf, PARAMS),
     "mode-index": lambda: eigen_asym_sub(-1, PARAMS),
+    "mode-index-fraction": lambda: eigen_asym_sub(2.5, PARAMS),
     "coeff-mode-index": lambda: spectral_coeff_asym_sub(-1, PARAMS),
     "eigvec-shape-j": lambda: eigvec_shape_g(-1, 1.0, 0.25),
+    "eigvec-shape-j-fraction": lambda: eigvec_shape_g(0.5, 1.0, 0.25),
     "eigvec-shape-x": lambda: eigvec_shape_g(0, 0.0, 0.25),
+    "eigvec-shape-x-nan": lambda: eigvec_shape_g(0, math.nan, 0.25),
     "eigvec-n": lambda: eigvec_asym_sub(0, -1, PARAMS),
+    "eigvec-n-fraction": lambda: eigvec_asym_sub(0, 2.5, PARAMS),
     "log-value-scale": lambda: LogDensityApprox(-1.0).log_value(0.0),
 }
 
@@ -1074,7 +1120,7 @@ def test_closed_form_layers_run_no_bracket_search_or_quadrature(monkeypatch) -> 
     def refuse(*args, **kwargs):
         raise AssertionError("not on a closed-form path")
 
-    for name in ("find_root_bracketed", "_first_negative_rung", "tanh_sinh"):
+    for name in ("find_root_bracketed", "tanh_sinh"):
         monkeypatch.setattr(subcritical, name, refuse)
     for delta in (-8.0, 0.0, 4.0, 8.0):
         _, approx = t2_evaluate(0.3, delta, PARAMS)
@@ -1368,7 +1414,7 @@ def test_d2_d3_give_a_density_or_curve_singularity(point) -> None:
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(subcritical, "_real_root_integrals", counted))
-        for name in ("tanh_sinh", "find_root_bracketed", "_first_negative_rung"):
+        for name in ("tanh_sinh", "find_root_bracketed"):
             stack.enter_context(mock.patch.object(subcritical, name, refuse))
         try:
             _, approx = bl_xsigma_evaluate(x, sigma, params)
@@ -1453,8 +1499,7 @@ def test_d3_runs_no_bracket_search(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("D3 runs no bracket search")
 
-    for name in ("find_root_bracketed", "_first_negative_rung"):
-        monkeypatch.setattr(subcritical, name, refuse)
+    monkeypatch.setattr(subcritical, "find_root_bracketed", refuse)
     for rho, x, sigma in D3_POINTS:
         _, approx = bl_xsigma_evaluate(x, sigma, ModelParams(10**6, rho))
         assert math.isfinite(approx.log_value(10**6))
