@@ -37,6 +37,8 @@ from .errors import (
 NEGATIVE_CLAMP = -1e-12
 ORACLE_MAX_N = 64
 DEFAULT_ORACLE_DIGITS = 50
+# exp(-x) rounds to exactly 0.0 in doubles for every x above this
+EXP_UNDERFLOW = 746.0
 
 
 class Regime(enum.Enum):
@@ -206,40 +208,66 @@ def _check_state(spec: SpectralDecomposition, n: int) -> None:
         )
 
 
+def _shifted_mode_sum(coeffs: np.ndarray, nu: np.ndarray, t: float) -> tuple[float, float]:
+    """(acc, shift) with sum_j coeffs_j exp(-nu_j t) = acc exp(-shift).
+
+    nu is ascending and t finite and >= 0.  The shift is nu_k t for the
+    first nonzero coefficient k, so every factor exp((nu_k - nu_j) t) lies
+    in (0, 1] and the sum is one dot product in linear space.  Modes with
+    (nu_j - nu_k) t > EXP_UNDERFLOW, whose factor is exactly 0.0, are not
+    summed.  acc is 0.0 when every coefficient is zero or the terms cancel
+    to exactly 0.0.
+    """
+    k = int(np.argmax(coeffs != 0.0))
+    if coeffs[k] == 0.0:
+        return 0.0, math.inf
+    nu_k = float(nu[k])
+    stop = nu.size
+    if t * (float(nu[-1]) - nu_k) > EXP_UNDERFLOW:
+        stop = int(np.searchsorted(nu, nu_k + EXP_UNDERFLOW / t, side="right"))
+    factors = np.subtract(nu_k, nu[k:stop])
+    factors *= t
+    np.exp(factors, out=factors)
+    return float(np.dot(coeffs[k:stop], factors)), nu_k * t
+
+
 def conditional_density_exact_log(
     spec: SpectralDecomposition, n: int, t: float
 ) -> tuple[int, float]:
-    """(sign, log|p_n(t)|) for tail studies; sign 0 means every term underflowed.
+    """(sign, log|p_n(t)|) for tail studies.
 
-    Runs in log space so large-t tails keep relative accuracy even when
+    Sign 0, with log -inf, means the mode sum is exactly 0.0: every term
+    underflowed, or the terms cancelled to 0.0.  The sum is shifted by its
+    first nonzero mode, so large-t tails keep relative accuracy even when
     exp(-nu_0 t) or D_n underflow double range.  t = +inf gives (0, -inf);
     a NaN or negative t or a state n outside 0..N-1 raises InvalidInput.
     """
     _check_state(spec, n)
     _check_time(t)
-    terms = spec.sym_coeffs * spec.sym_vectors[n, :]
-    with np.errstate(divide="ignore"):
-        log_mags = np.log(np.abs(terms)) - spec.eigenvalues * t
-    m = float(log_mags.max())
-    if m == -math.inf:
+    if t == math.inf:
         return 0, -math.inf
-    acc = float((np.sign(terms) * np.exp(log_mags - m)).sum())
+    acc, shift = _shifted_mode_sum(
+        spec.sym_coeffs * spec.sym_vectors[n], spec.eigenvalues, t
+    )
     if acc == 0.0:
         return 0, -math.inf
-    return (1 if acc > 0 else -1), m + math.log(abs(acc)) - float(spec.log_scale[n])
+    log_p = math.log(abs(acc)) - shift - float(spec.log_scale[n])
+    return (1 if acc > 0.0 else -1), log_p
 
 
 def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> float:
     """log p(t), finite far beyond the underflow point of p itself.
 
-    Raises InvalidInput for a NaN or negative t."""
+    The nonnegative mode sum is shifted by its first nonzero mode, as in
+    conditional_density_exact_log.  Raises InvalidInput for a NaN or
+    negative t."""
     _check_time(t)
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(spec.uncond_coeffs) - spec.eigenvalues * t
-    m = float(log_terms.max())
-    if m == -math.inf:
+    if t == math.inf:
         return -math.inf
-    return m + math.log(float(np.exp(log_terms - m).sum()))
+    acc, shift = _shifted_mode_sum(spec.uncond_coeffs, spec.eigenvalues, t)
+    if acc == 0.0:
+        return -math.inf
+    return math.log(acc) - shift
 
 
 def reconstruction_residual(spec: SpectralDecomposition) -> float:
@@ -278,54 +306,58 @@ def unit_mass_residual(spec: SpectralDecomposition) -> float:
 
 def integrate_ode(
     gen: Generator,
-    t_max: float,
-    steps: int | None = None,
+    times: np.ndarray,
     step: float | None = None,
 ) -> DensityTrajectory:
     """Classical RK4 integration of p' = A p from p_n(0) = 1/(n+1).
 
-    The step honors step * nu_max <= 0.1 where nu_max is the largest decay
-    rate; a caller-forced larger step raises StepTooLarge.  A trajectory
-    that dips below -1e-12 raises NegativeDensity.
+    Only p at the output times is stored, so memory is O(N len(times)).
+    times is a 1-D array, finite, >= 0 and nondecreasing; each gap between
+    output times (and from 0 to the first) is cut into equal steps no longer
+    than `step`, so a step ends exactly on every output time.  The default
+    step honors step * nu_max <= 0.1 where nu_max is the largest decay rate;
+    a caller-forced larger step raises StepTooLarge.  A trajectory that dips
+    below -1e-12 at any step, stored or not, raises NegativeDensity.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if not 0.0 < t_max < math.inf:
-        raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InvalidInput(f"times must be a nonempty 1-D array, got shape {grid.shape}")
+    if not (np.isfinite(grid).all() and grid[0] >= 0.0 and (np.diff(grid) >= 0.0).all()):
+        raise InvalidInput("times must be finite, >= 0 and nondecreasing")
     nu_max = float(-eigh_tridiagonal(
         gen.diag, np.sqrt(gen.sup * gen.sub), eigvals_only=True
     )[0])
-    if step is not None:
-        if step * nu_max > 0.1:
-            raise StepTooLarge(
-                f"step {step} violates step * nu_max = {step * nu_max:.3f} <= 0.1"
-            )
-        n_steps = max(1, math.ceil(t_max / step))
-    elif steps is not None:
-        n_steps = steps
-        if (t_max / n_steps) * nu_max > 0.1:
-            raise StepTooLarge(
-                f"{n_steps} steps over {t_max} violates the stability bound"
-            )
-    else:
-        n_steps = max(1, math.ceil(t_max * nu_max / 0.1))
-    h = t_max / n_steps
+    if step is None:
+        step = 0.1 / nu_max
+    elif not 0.0 < step < math.inf:
+        raise InvalidInput(f"step must be positive and finite, got {step}")
+    elif step * nu_max > 0.1:
+        raise StepTooLarge(
+            f"step {step} violates step * nu_max = {step * nu_max:.3f} <= 0.1"
+        )
     n = gen.dimension
     p = 1.0 / (np.arange(n) + 1.0)
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    out = np.empty((n, n_steps + 1))
-    out[:, 0] = p
-    for i in range(n_steps):
-        k1 = gen.matvec(p)
-        k2 = gen.matvec(p + 0.5 * h * k1)
-        k3 = gen.matvec(p + 0.5 * h * k2)
-        k4 = gen.matvec(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, i + 1] = p
-    if out.min() < NEGATIVE_CLAMP:
-        raise NegativeDensity(f"trajectory dipped to {out.min():.3e}, beyond round-off")
+    low = float(p.min())
+    out = np.empty((n, grid.size))
+    now = 0.0
+    for i, end in enumerate(grid.tolist()):
+        n_steps = math.ceil((end - now) / step)
+        h = (end - now) / max(1, n_steps)
+        for _ in range(n_steps):
+            k1 = gen.matvec(p)
+            k2 = gen.matvec(p + 0.5 * h * k1)
+            k3 = gen.matvec(p + 0.5 * h * k2)
+            k4 = gen.matvec(p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            low = min(low, float(p.min()))
+        out[:, i] = p
+        now = end
+    if low < NEGATIVE_CLAMP:
+        raise NegativeDensity(f"trajectory dipped to {low:.3e}, beyond round-off")
     np.clip(out, 0.0, None, out=out)
-    return DensityTrajectory(times=times, values=out, method="ode")
+    return DensityTrajectory(times=grid, values=out, method="ode")
 
 
 def spectral_trajectory(

@@ -17,8 +17,9 @@ xi + Delta_*(tau) > 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     IndexTooLarge,
@@ -168,7 +169,7 @@ def algebraic_tail_log_constant(n: int, rho: float) -> float:
     it stays finite as rho falls to 1, where alpha0 grows without bound and
     C itself leaves double range.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise InvalidInput(f"n must be a nonnegative integer, got {n}")
     if not rho < math.inf:
         raise InvalidInput(f"rho must be finite, got {rho}")

@@ -113,7 +113,7 @@ def _no_decay(n, t, rho):
 
 NEGATIVE = {
     "spectral-trajectory-dip": lambda: spectral_trajectory(_flipped_spec(), np.arange(2.0)),
-    "ode-dip": lambda: integrate_ode(_BAD_GENERATOR, 5.0),
+    "ode-dip": lambda: integrate_ode(_BAD_GENERATOR, np.array([5.0])),
     "oracle-nonpositive": lambda: oracle_conditional_log(_flipped_oracle(), 1, 0.5),
 }
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from psq.errors import InvalidInput, PSQError, StepTooLarge, UnsupportedN
+from psq.errors import InvalidInput, NegativeDensity, PSQError, StepTooLarge, UnsupportedN
 from psq.exact import (
+    EXP_UNDERFLOW,
+    Generator,
     ModelParams,
     Regime,
     build_generator,
@@ -28,6 +32,7 @@ from psq.exact import (
     time_integral_residual,
     unconditional_density_exact_log,
     unit_mass_residual,
+    _shifted_mode_sum,
 )
 
 
@@ -214,37 +219,89 @@ def test_uncond_coeffs_positive_and_sum() -> None:
 # ---------------------------------------------------------------------------
 
 def test_ode_vs_spectral_weighted() -> None:
+    # every output time is stepped to exactly: reaching the last one through
+    # the others gives what one run straight to it gives
     params, spec = _spec(16, 0.5)
     gen = build_generator(params)
     step = 0.04 / spec.eigenvalues[-1]
-    traj = integrate_ode(gen, 10.0, step=step)
+    times = np.array([0.0, 0.3, 1.7, 5.0, 10.0])
+    traj = integrate_ode(gen, times, step=step)
     st = spectral_trajectory(spec, traj.times)
     wdiff = np.abs(spec.scale[:, None] * (traj.values - st.values)).max()
     assert wdiff < 1e-8
+    alone = integrate_ode(gen, times[-1:], step=step)
+    assert np.abs(alone.values[:, 0] - traj.values[:, -1]).max() < 1e-12
 
 
 def test_ode_step_guard() -> None:
     params, _ = _spec(16, 4.0)
     gen = build_generator(params)
     with pytest.raises(StepTooLarge):
-        integrate_ode(gen, 10.0, step=1.0)
+        integrate_ode(gen, np.array([10.0]), step=1.0)
     with pytest.raises(StepTooLarge):
-        integrate_ode(gen, 100.0, steps=3)
+        integrate_ode(gen, np.array([100.0]), step=100.0 / 3.0)
     for t_max in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidInput):
-            integrate_ode(gen, t_max)
+            integrate_ode(gen, np.array([t_max]))
+    for times in ([], [[1.0]], [2.0, 1.0], [0.5, math.nan]):
+        with pytest.raises(InvalidInput):
+            integrate_ode(gen, np.array(times))
+    for step in (0.0, -0.01, math.nan):
+        with pytest.raises(InvalidInput):
+            integrate_ode(gen, np.array([1.0]), step=step)
 
 
 def test_trajectory_shapes_and_method_tags() -> None:
     params, spec = _spec(8, 1.5)
     gen = build_generator(params)
-    traj = integrate_ode(gen, 2.0)
+    traj = integrate_ode(gen, np.array([0.0, 1.0, 1.0, 2.0]))
     assert traj.method == "ode"
-    assert traj.values.shape == (8, traj.times.size)
+    assert traj.values.shape == (8, 4)
+    assert (traj.values[:, 0] == 1.0 / (np.arange(8) + 1.0)).all()
+    assert (traj.values[:, 1] == traj.values[:, 2]).all()
     st = spectral_trajectory(spec, np.array([0.0, 1.0, 2.0]))
     assert st.method == "spectral"
     assert st.values.shape == (8, 3)
     assert (st.values >= 0.0).all()
+
+
+def test_ode_memory_is_per_output_time() -> None:
+    params, spec = _spec(100, 0.5)
+    gen = build_generator(params)
+    times = np.array([70.0, 140.0])
+    every_step = 8 * 100 * math.ceil(times[-1] * spec.eigenvalues[-1] / 0.1)
+    tracemalloc.start()
+    try:
+        traj = integrate_ode(gen, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.values.shape == (100, 2)
+    assert every_step > 2_000_000
+    assert peak < every_step / 20
+
+
+# p' = A p with this 3-state generator dips to about -0.004 between t = 1.4
+# and 2.4 and is positive in every state again at t = 2.82
+_DIPPING_GENERATOR = Generator(
+    dimension=3,
+    sub=np.array([-1.0, 0.1]),
+    diag=np.array([-1.4, -1.6, -1.1]),
+    sup=np.array([-0.1, 1.5]),
+)
+
+
+def test_ode_negative_check_covers_unstored_steps() -> None:
+    from scipy.linalg import expm
+
+    a = _DIPPING_GENERATOR.to_dense()
+    p0 = 1.0 / np.arange(1.0, 4.0)
+    assert min((expm(a * t) @ p0).min() for t in np.linspace(1.4, 2.4, 11)) < -1e-3
+    assert (expm(a * 2.82) @ p0).min() > 1e-4
+    with pytest.raises(NegativeDensity):
+        integrate_ode(_DIPPING_GENERATOR, np.array([2.82]))
+    early = integrate_ode(_DIPPING_GENERATOR, np.array([1.0]))
+    assert early.values.min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +355,146 @@ def test_evaluators_accept_infinite_time_and_numpy_index() -> None:
 def test_decompose_rejects_dimension_mismatch() -> None:
     with pytest.raises(InvalidInput):
         spectral_decompose(build_generator(ModelParams(40, 0.5)), ModelParams(50, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the linear-space mode sum at N = 1000 and 4000
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+LARGE = [(1000, 0.25), (1000, 1.5), (4000, 0.25), (4000, 1.5)]
+
+
+@pytest.fixture(scope="module", params=LARGE, ids=[f"N{n}-rho{r}" for n, r in LARGE])
+def large_spec(request):
+    return _spec(*request.param)[1]
+
+
+def _grid(population: int) -> list:
+    """17 x 17 (n, t) points: n/N over [0, 1], t/N log-spaced over [1e-3, 4]."""
+    states = [round(xi * (population - 1)) for xi in np.linspace(0.0, 1.0, 17)]
+    taus = np.geomspace(1e-3, 4.0, 17)
+    return [(n, float(tau * population)) for n in states for tau in taus]
+
+
+def _log_space_reference(spec, n: int, t: float) -> tuple:
+    """The former log-space evaluation: (sign, log|p_n(t)|, largest log term)."""
+    terms = spec.sym_coeffs * spec.sym_vectors[n]
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(np.abs(terms)) - spec.eigenvalues * t
+    top = float(log_mags.max())
+    acc = float((np.sign(terms) * np.exp(log_mags - top)).sum())
+    if acc == 0.0:
+        return 0, -math.inf, top
+    return (1 if acc > 0 else -1), top + math.log(abs(acc)) - float(spec.log_scale[n]), top
+
+
+def _log_space_reference_uncond(spec, t: float) -> float:
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(spec.uncond_coeffs) - spec.eigenvalues * t
+    top = float(log_terms.max())
+    return top + math.log(float(np.exp(log_terms - top).sum()))
+
+
+def _log_density_40_digits(spec, n: int, t: float) -> float:
+    """log|p_n(t)| from the same double terms, summed in 40 digits."""
+    terms = spec.sym_coeffs * spec.sym_vectors[n]
+    with mp.workdps(40):
+        total = mp.fsum(
+            mp.mpf(float(c)) * mp.exp(-mp.mpf(float(nu)) * mp.mpf(t))
+            for c, nu in zip(terms, spec.eigenvalues)
+            if c != 0.0
+        )
+        return float(mp.log(abs(total))) - float(spec.log_scale[n])
+
+
+def test_mode_sum_matches_log_space_formula(large_spec) -> None:
+    # Where the largest term exceeds |D_n p_n(t)| by under 5 nats the result
+    # is resolved in doubles, and the two evaluations agree to 1e-11.  The
+    # log-space formula rounds log|term| - nu_j t, of order nu_j t, before the
+    # cancellation amplifies it; where the two differ by more, the linear sum
+    # must match a 40-digit sum of the same terms.
+    spec = large_spec
+    population = spec.params.population
+    shallow = refereed = 0
+    for n, t in _grid(population):
+        sign_ref, log_ref, top = _log_space_reference(spec, n, t)
+        if sign_ref == 0 or top - (log_ref + float(spec.log_scale[n])) >= 5.0:
+            continue
+        shallow += 1
+        sign, log_p = conditional_density_exact_log(spec, n, t)
+        assert sign == sign_ref
+        if abs(log_p - log_ref) > 1e-11:
+            refereed += 1
+            assert abs(log_p - _log_density_40_digits(spec, n, t)) <= 1e-12
+    assert shallow >= 90
+    assert refereed <= 2
+    for tau in np.geomspace(1e-3, 4.0, 17):
+        t = float(tau * population)
+        got = unconditional_density_exact_log(spec, t)
+        assert abs(got - _log_space_reference_uncond(spec, t)) <= 1e-12
+
+
+def test_mode_sum_cut_drops_only_exact_zeros(large_spec) -> None:
+    # Modes past (nu_j - nu_k) t > EXP_UNDERFLOW add exactly 0.0, so the cut
+    # sum equals the whole sum from the same first mode k, up to the order in
+    # which the dot product adds its terms.
+    spec = large_spec
+    nu = spec.eigenvalues
+    cut = 0
+    for n, t in _grid(spec.params.population):
+        terms = spec.sym_coeffs * spec.sym_vectors[n]
+        k = int(np.flatnonzero(terms)[0])
+        acc, shift = _shifted_mode_sum(terms, nu, t)
+        assert shift == float(nu[k]) * t
+        whole = float(np.dot(terms[k:], np.exp((float(nu[k]) - nu[k:]) * t)))
+        assert abs(acc - whole) <= 2.0 * math.ulp(whole)
+        cut += (float(nu[-1]) - float(nu[k])) * t > EXP_UNDERFLOW
+    assert cut > 0
+
+
+def test_deflated_rows_keep_their_tail(large_spec) -> None:
+    # LAPACK's divide and conquer leaves exact zeros in some rows of V, so
+    # their first nonzero term sits at a mode k > 0.  At N = 4000, rho = 0.25
+    # exp(-(nu_k - nu_0) t) underflows there at t = 4N: a sum shifted by
+    # nu_0 would read 0.
+    spec = large_spec
+    population = spec.params.population
+    nu = spec.eigenvalues
+    t = 4.0 * population
+    first = np.argmax(spec.sym_coeffs * spec.sym_vectors != 0.0, axis=1)
+    deflated = np.flatnonzero(first > 0)
+    for n in deflated:
+        sign, log_p = conditional_density_exact_log(spec, int(n), t)
+        assert sign != 0 and math.isfinite(log_p)
+    if (population, spec.params.rho) == (4000, 0.25):
+        assert ((nu[first[deflated]] - nu[0]) * t > EXP_UNDERFLOW).any()
+
+
+def test_initial_values_at_large_population(large_spec) -> None:
+    # p_n(0) = 1/(n+1); the balanced sum's absolute error is of order
+    # eps / D_n, so rows with D_n within 1e-3 of the largest scale are exact
+    # to that in log
+    spec = large_spec
+    scale = spec.scale
+    for n in np.flatnonzero(scale > 1e-3 * scale.max()):
+        sign, log_p = conditional_density_exact_log(spec, int(n), 0.0)
+        assert sign == 1
+        assert abs(log_p + math.log(n + 1.0)) <= 16.0 * EPS * (n + 1.0) / scale[n]
+
+
+def test_queries_raise_no_floating_point_error() -> None:
+    _, spec = _spec(1000, 0.25)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for t in (0.0, 1e-300, 1e300, math.inf):
+            for n in range(1000):
+                conditional_density_exact_log(spec, n, t)
+            unconditional_density_exact_log(spec, t)
+    assert conditional_density_exact_log(spec, 7, 1e-300) == pytest.approx(
+        conditional_density_exact_log(spec, 7, 0.0), abs=1e-13
+    )
+    assert conditional_density_exact_log(spec, 7, math.inf) == (0, -math.inf)
 
 
 # ---------------------------------------------------------------------------

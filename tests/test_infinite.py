@@ -427,6 +427,9 @@ def test_tail_supercritical_guards() -> None:
     for rho in (math.inf, math.nan):
         with pytest.raises(InvalidInput):
             algebraic_tail_log_constant(1, rho)
+    with pytest.raises(InvalidInput):
+        algebraic_tail_log_constant(2.5, 2.0)
+    assert algebraic_tail_log_constant(np.int64(2), 2.0) == algebraic_tail_log_constant(2, 2.0)
 
 
 def test_tail_supercritical_slots() -> None:
