@@ -211,13 +211,15 @@ def _check_state(spec: SpectralDecomposition, n: int) -> None:
 def _shifted_mode_sum(coeffs: np.ndarray, nu: np.ndarray, t: float) -> tuple[float, float]:
     """(acc, shift) with sum_j coeffs_j exp(-nu_j t) = acc exp(-shift).
 
-    nu is ascending and t finite and >= 0.  The shift is nu_k t for the
-    first nonzero coefficient k, so every factor exp((nu_k - nu_j) t) lies
-    in (0, 1] and the sum is one dot product in linear space.  Modes with
+    nu is ascending and t >= 0.  The shift is nu_k t for the first nonzero
+    coefficient k, so every factor exp((nu_k - nu_j) t) lies in (0, 1] and
+    the sum is one dot product in linear space.  Modes with
     (nu_j - nu_k) t > EXP_UNDERFLOW, whose factor is exactly 0.0, are not
-    summed.  acc is 0.0 when every coefficient is zero or the terms cancel
-    to exactly 0.0.
+    summed.  acc is 0.0 when t = +inf, when every coefficient is zero or
+    when the terms cancel to exactly 0.0.
     """
+    if t == math.inf:
+        return 0.0, math.inf
     k = int(np.argmax(coeffs != 0.0))
     if coeffs[k] == 0.0:
         return 0.0, math.inf
@@ -244,8 +246,6 @@ def conditional_density_exact_log(
     """
     _check_state(spec, n)
     _check_time(t)
-    if t == math.inf:
-        return 0, -math.inf
     acc, shift = _shifted_mode_sum(
         spec.sym_coeffs * spec.sym_vectors[n], spec.eigenvalues, t
     )
@@ -262,8 +262,6 @@ def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> fl
     conditional_density_exact_log.  Raises InvalidInput for a NaN or
     negative t."""
     _check_time(t)
-    if t == math.inf:
-        return -math.inf
     acc, shift = _shifted_mode_sum(spec.uncond_coeffs, spec.eigenvalues, t)
     if acc == 0.0:
         return -math.inf

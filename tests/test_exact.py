@@ -219,6 +219,18 @@ def test_uncond_coeffs_positive_and_sum() -> None:
 # ---------------------------------------------------------------------------
 
 def test_ode_vs_spectral_weighted() -> None:
+    params, spec = _spec(16, 0.5)
+    gen = build_generator(params)
+    step = 0.04 / spec.eigenvalues[-1]
+    # one output time per step, so every RK4 step is compared
+    times = np.linspace(0.0, 10.0, math.ceil(10.0 / step) + 1)
+    traj = integrate_ode(gen, times, step=step)
+    st = spectral_trajectory(spec, traj.times)
+    wdiff = np.abs(spec.scale[:, None] * (traj.values - st.values)).max()
+    assert wdiff < 1e-8
+
+
+def test_ode_lands_on_irregular_times() -> None:
     # every output time is stepped to exactly: reaching the last one through
     # the others gives what one run straight to it gives
     params, spec = _spec(16, 0.5)
