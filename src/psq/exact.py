@@ -14,8 +14,12 @@ for ModelParams, costs neither import.  spectral_decompose and integrate_ode
 import scipy.linalg, about 0.3 s the first time; the oracle imports mpmath.
 
 On scipy 1.17 the 'auto' driver of eigh_tridiagonal is LAPACK stevd
-(divide and conquer), not stemr; its workspace of order N^2 doubles, on top
-of the N x N eigenvector matrix, sets the peak memory of a decomposition.
+(divide and conquer), not stemr.  Its eigenvector matrix z and its workspace
+of order N^2 doubles, about 2 N^2 doubles together, set the peak memory of a
+decomposition.  The one N x N array kept is the weighted matrix
+W[n, j] = beta_j v_j(n): spectral_decompose copies z into it (columns
+reversed to ascending nu, C order) once LAPACK has freed its workspace and
+scales it in place, so no third N x N buffer is ever live.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ ORACLE_MAX_N = 64
 DEFAULT_ORACLE_DIGITS = 50
 # exp(-x) rounds to exactly 0.0 in doubles for every x above this
 EXP_UNDERFLOW = 746.0
+# rows and columns per tile of the eigenvector copy and of the weighting pass
+_BLOCK = 128
 
 
 class Regime(enum.Enum):
@@ -97,26 +103,29 @@ class Generator:
 class SpectralDecomposition:
     """Eigen data of -A in the balanced form.
 
-    eigenvalues nu_j are ascending and positive.  Densities are evaluated
-    through the balanced fields: sym_vectors holds the orthonormal
-    eigenvectors v_j of the symmetrized generator (row n is v(n) over all
-    modes), sym_coeffs the projections beta_j of the scaled initial state,
-    and scale the diagonal D_n = sqrt((n+1) pi_n).  Then
-    p_n(t) = (1/D_n) sum_j beta_j v_j(n) exp(-nu_j t) with every
-    beta_j v_j(n) of order one, and p(t) = sum_j d_j exp(-nu_j t) with
-    uncond_coeffs d_j = beta_j^2.
+    eigenvalues nu_j are ascending and positive.  Let v_j be the orthonormal
+    eigenvectors of the symmetrized generator, sym_coeffs beta_j = <v_j, D p(0)>
+    the projections of the scaled initial state and scale the diagonal
+    D_n = sqrt((n+1) pi_n).  weighted_vectors holds the terms
+    W[n, j] = beta_j v_j(n), each of order one, in C order (row n is state
+    n's term vector), and first_mode[n] is the first j with W[n, j] != 0
+    (0 for a row of zeros; LAPACK's divide and conquer leaves exact zeros at
+    the head of some rows).  Then p_n(t) = (1/D_n) sum_j W[n, j] exp(-nu_j t)
+    and p(t) = sum_j d_j exp(-nu_j t) with uncond_coeffs d_j = beta_j^2.
 
-    The classical basis phi_j (scaled so phi_j(0) = 1) and coefficients c_j
-    with c_j phi_j(n) = beta_j v_j(n) / D_n are not formed: their terms span
-    enormous magnitude ranges (the exact expansion of the edge states
-    cancels across 20+ decades) and no density is evaluated from them.
-    Where a caller needs c_j, it is beta_j v_j(0) / D_0.
+    W is the only N x N field; v_j is not kept, and where beta_j != 0 it is
+    W[:, j] / beta_j.  The classical basis phi_j (scaled so phi_j(0) = 1)
+    and coefficients c_j with c_j phi_j(n) = W[n, j] / D_n are not formed:
+    their terms span enormous magnitude ranges (the exact expansion of the
+    edge states cancels across 20+ decades) and no density is evaluated from
+    them.  Where a caller needs c_j, it is W[0, j] / D_0.
     """
 
     params: ModelParams
     eigenvalues: np.ndarray
     uncond_coeffs: np.ndarray
-    sym_vectors: np.ndarray  # v[n, j], orthonormal columns
+    weighted_vectors: np.ndarray  # W[n, j] = beta_j v_j(n)
+    first_mode: np.ndarray  # first j with W[n, j] != 0
     sym_coeffs: np.ndarray  # beta_j = <v_j, D p(0)>
     scale: np.ndarray  # D_n
     log_scale: np.ndarray  # log D_n, finite even where D_n underflows
@@ -153,12 +162,30 @@ def steady_state_log_weights(params: ModelParams) -> np.ndarray:
     return logw - (m + math.log(np.exp(logw - m).sum()))
 
 
+def _reversed_c_order(vec: np.ndarray) -> np.ndarray:
+    """vec[:, ::-1] as a new C-ordered array, copied in square tiles.
+
+    LAPACK returns Fortran order, so the copy transposes the layout; tile by
+    tile, source and target stay in cache.  The result equals
+    np.ascontiguousarray(vec[:, ::-1]) bit for bit.
+    """
+    rows, cols = vec.shape
+    out = np.empty((rows, cols))
+    src = vec[:, ::-1]
+    for i in range(0, rows, _BLOCK):
+        for j in range(0, cols, _BLOCK):
+            out[i:i + _BLOCK, j:j + _BLOCK] = src[i:i + _BLOCK, j:j + _BLOCK]
+    return out
+
+
 def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposition:
     """All eigenpairs of -A via the symmetrizing similarity transform.
 
     With D_n = sqrt((n+1) pi_n), D A D^{-1} is symmetric tridiagonal with the
     same diagonal and off-diagonal sqrt(sup[n] * sub[n]); its eigenvectors map
-    back by D^{-1}.  Raises InvalidInput when gen and params disagree on N.
+    back by D^{-1}.  They are stored weighted, W[n, j] = beta_j v_j(n), with
+    each row's first nonzero mode.  Raises InvalidInput when gen and params
+    disagree on N.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -172,22 +199,29 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
     lam, vec = eigh_tridiagonal(gen.diag, off)
     # lam ascending (most negative first); nu_j = -lam reversed to ascending.
     nu = -lam[::-1]
-    vec = np.ascontiguousarray(vec[:, ::-1])
     gaps = np.diff(nu)
     if np.any(gaps < 1e-13 * nu[-1]):
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {gaps.min():.3e} below 1e-13 * nu_max"
         )
+    weighted = _reversed_c_order(vec)
+    del vec
     log_d = 0.5 * (np.log(np.arange(n) + 1.0) + logw)
     d = np.exp(log_d)
-    # beta_j = <v_j, D p(0)> with (D p(0))_n = D_n / (n + 1).
-    beta = vec.T @ np.exp(log_d - np.log(np.arange(n) + 1.0))
-    d_coeff = beta * beta
+    # beta_j = <v_j, D p(0)> with (D p(0))_n = D_n / (n + 1), taken from the
+    # C-ordered copy (the Fortran-ordered one gives other bits).
+    beta = weighted.T @ np.exp(log_d - np.log(np.arange(n) + 1.0))
+    first_mode = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _BLOCK):
+        rows = weighted[lo:lo + _BLOCK]
+        rows *= beta
+        first_mode[lo:lo + _BLOCK] = np.argmax(rows != 0.0, axis=1)
     return SpectralDecomposition(
         params=params,
         eigenvalues=nu,
-        uncond_coeffs=d_coeff,
-        sym_vectors=vec,
+        uncond_coeffs=beta * beta,
+        weighted_vectors=weighted,
+        first_mode=first_mode,
         sym_coeffs=beta,
         scale=d,
         log_scale=log_d,
@@ -208,20 +242,19 @@ def _check_state(spec: SpectralDecomposition, n: int) -> None:
         )
 
 
-def _shifted_mode_sum(coeffs: np.ndarray, nu: np.ndarray, t: float) -> tuple[float, float]:
+def _shifted_mode_sum(
+    coeffs: np.ndarray, nu: np.ndarray, k: int, t: float
+) -> tuple[float, float]:
     """(acc, shift) with sum_j coeffs_j exp(-nu_j t) = acc exp(-shift).
 
-    nu is ascending and t >= 0.  The shift is nu_k t for the first nonzero
-    coefficient k, so every factor exp((nu_k - nu_j) t) lies in (0, 1] and
-    the sum is one dot product in linear space.  Modes with
-    (nu_j - nu_k) t > EXP_UNDERFLOW, whose factor is exactly 0.0, are not
-    summed.  acc is 0.0 when t = +inf, when every coefficient is zero or
-    when the terms cancel to exactly 0.0.
+    nu is ascending, t >= 0, and k is the first nonzero coefficient (any
+    index when every coefficient is zero).  The shift is nu_k t, so every
+    factor exp((nu_k - nu_j) t) lies in (0, 1] and the sum is one dot
+    product in linear space.  Modes with (nu_j - nu_k) t > EXP_UNDERFLOW,
+    whose factor is exactly 0.0, are not summed.  acc is 0.0 when t = +inf,
+    when every coefficient is zero or when the terms cancel to exactly 0.0.
     """
-    if t == math.inf:
-        return 0.0, math.inf
-    k = int(np.argmax(coeffs != 0.0))
-    if coeffs[k] == 0.0:
+    if t == math.inf or coeffs[k] == 0.0:
         return 0.0, math.inf
     nu_k = float(nu[k])
     stop = nu.size
@@ -239,15 +272,16 @@ def conditional_density_exact_log(
     """(sign, log|p_n(t)|) for tail studies.
 
     Sign 0, with log -inf, means the mode sum is exactly 0.0: every term
-    underflowed, or the terms cancelled to 0.0.  The sum is shifted by its
-    first nonzero mode, so large-t tails keep relative accuracy even when
-    exp(-nu_0 t) or D_n underflow double range.  t = +inf gives (0, -inf);
-    a NaN or negative t or a state n outside 0..N-1 raises InvalidInput.
+    underflowed, or the terms cancelled to 0.0.  The sum over row n of the
+    weighted vectors is shifted by its first nonzero mode, so large-t tails
+    keep relative accuracy even when exp(-nu_0 t) or D_n underflow double
+    range.  t = +inf gives (0, -inf); a NaN or negative t or a state n
+    outside 0..N-1 raises InvalidInput.
     """
     _check_state(spec, n)
     _check_time(t)
     acc, shift = _shifted_mode_sum(
-        spec.sym_coeffs * spec.sym_vectors[n], spec.eigenvalues, t
+        spec.weighted_vectors[n], spec.eigenvalues, int(spec.first_mode[n]), t
     )
     if acc == 0.0:
         return 0, -math.inf
@@ -262,7 +296,10 @@ def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> fl
     conditional_density_exact_log.  Raises InvalidInput for a NaN or
     negative t."""
     _check_time(t)
-    acc, shift = _shifted_mode_sum(spec.uncond_coeffs, spec.eigenvalues, t)
+    coeffs = spec.uncond_coeffs
+    acc, shift = _shifted_mode_sum(
+        coeffs, spec.eigenvalues, int(np.argmax(coeffs != 0.0)), t
+    )
     if acc == 0.0:
         return -math.inf
     return math.log(acc) - shift
@@ -277,7 +314,7 @@ def reconstruction_residual(spec: SpectralDecomposition) -> float:
     """
     n = spec.params.population
     target = spec.scale / (np.arange(n) + 1.0)
-    got = spec.sym_vectors @ spec.sym_coeffs
+    got = spec.weighted_vectors.sum(axis=1)
     return float(np.abs(got - target).max())
 
 
@@ -285,16 +322,22 @@ def time_integral_residual(spec: SpectralDecomposition) -> float:
     """max_n |sum_j beta_j v_j(n)/nu_j - D_n|: integral of p_n over all t is
     one for every n (row n of A sums to -1/(n+1)), measured in the scaled
     basis."""
-    got = spec.sym_vectors @ (spec.sym_coeffs / spec.eigenvalues)
+    got = spec.weighted_vectors @ (1.0 / spec.eigenvalues)
     return float(np.abs(got - spec.scale).max())
 
 
 def orthogonality_residual(spec: SpectralDecomposition) -> float:
-    """max |V^T V - I| over the symmetrized eigenvector matrix; equivalent to
-    the weighted orthogonality sum_n (n+1) pi_n phi_j(n) phi_k(n) = 0."""
-    n = spec.params.population
-    g = spec.sym_vectors.T @ spec.sym_vectors
-    return float(np.abs(g - np.eye(n)).max())
+    """max |V^T V - I| over the symmetrized eigenvectors; equivalent to the
+    weighted orthogonality sum_n (n+1) pi_n phi_j(n) phi_k(n) = 0.
+
+    V is not stored: column j is taken back as W[:, j] / beta_j, and the
+    columns with beta_j = 0, which W does not determine, are left out.  The
+    check forms N x N temporaries and is meant for small N."""
+    beta = spec.sym_coeffs
+    live = beta != 0.0
+    vec = spec.weighted_vectors[:, live] / beta[live]
+    g = vec.T @ vec
+    return float(np.abs(g - np.eye(g.shape[0])).max())
 
 
 def unit_mass_residual(spec: SpectralDecomposition) -> float:
@@ -363,10 +406,15 @@ def spectral_trajectory(
 ) -> DensityTrajectory:
     """Tabulate the balanced spectral representation on a time grid.
 
+    One product W @ E with E[j, i] = exp(-nu_j t_i), so the memory beyond
+    the decomposition is O(N len(times)).  E is 0.0, the value exp rounds
+    to, wherever nu_j t_i > EXP_UNDERFLOW, without calling exp there.
     Raises NegativeDensity where a weighted value dips below -1e-12."""
     grid = np.asarray(times, dtype=float)
-    expo = np.exp(-np.outer(spec.eigenvalues, grid))
-    weighted = (spec.sym_vectors * spec.sym_coeffs) @ expo
+    decay = np.multiply.outer(spec.eigenvalues, grid)
+    expo = np.zeros_like(decay)
+    np.exp(-decay, out=expo, where=~(decay > EXP_UNDERFLOW))  # NaN stays NaN
+    weighted = spec.weighted_vectors @ expo
     if weighted.min() < NEGATIVE_CLAMP:
         raise NegativeDensity(
             f"weighted trajectory dipped to {weighted.min():.3e}, beyond round-off"

@@ -269,7 +269,7 @@ def gaussian_scale_facts_super(params: ModelParams) -> GaussianScaleFacts:
     center = big_n * (1.0 - 1.0 / rho)
     n_star = min(max(int(round(center)), 0), big_n - 1)
     spec = spectral_decompose(build_generator(params), params)
-    product = spec.sym_coeffs[0] * spec.sym_vectors[n_star, 0] / spec.scale[n_star]
+    product = spec.weighted_vectors[n_star, 0] / spec.scale[n_star]
     return GaussianScaleFacts(
         c0_approx=rho / ((rho - 1.0) * big_n),
         center=center,

@@ -89,7 +89,7 @@ def _flipped_spec():
     # every mode weight negated: the balanced mode sums come out negative
     params = ModelParams(12, 0.5)
     spec = spectral_decompose(build_generator(params), params)
-    return dataclasses.replace(spec, sym_coeffs=-spec.sym_coeffs)
+    return dataclasses.replace(spec, weighted_vectors=-spec.weighted_vectors)
 
 
 def _flipped_oracle():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -34,6 +36,9 @@ from psq.exact import (
     unit_mass_residual,
     _shifted_mode_sum,
 )
+
+
+ORACLE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "oracle_n48.json"
 
 
 def _spec(population: int, rho: float):
@@ -391,7 +396,7 @@ def _grid(population: int) -> list:
 
 def _log_space_reference(spec, n: int, t: float) -> tuple:
     """The former log-space evaluation: (sign, log|p_n(t)|, largest log term)."""
-    terms = spec.sym_coeffs * spec.sym_vectors[n]
+    terms = spec.weighted_vectors[n]
     with np.errstate(divide="ignore"):
         log_mags = np.log(np.abs(terms)) - spec.eigenvalues * t
     top = float(log_mags.max())
@@ -410,7 +415,7 @@ def _log_space_reference_uncond(spec, t: float) -> float:
 
 def _log_density_40_digits(spec, n: int, t: float) -> float:
     """log|p_n(t)| from the same double terms, summed in 40 digits."""
-    terms = spec.sym_coeffs * spec.sym_vectors[n]
+    terms = spec.weighted_vectors[n]
     with mp.workdps(40):
         total = mp.fsum(
             mp.mpf(float(c)) * mp.exp(-mp.mpf(float(nu)) * mp.mpf(t))
@@ -455,9 +460,9 @@ def test_mode_sum_cut_drops_only_exact_zeros(large_spec) -> None:
     nu = spec.eigenvalues
     cut = 0
     for n, t in _grid(spec.params.population):
-        terms = spec.sym_coeffs * spec.sym_vectors[n]
+        terms = spec.weighted_vectors[n]
         k = int(np.flatnonzero(terms)[0])
-        acc, shift = _shifted_mode_sum(terms, nu, t)
+        acc, shift = _shifted_mode_sum(terms, nu, k, t)
         assert shift == float(nu[k]) * t
         whole = float(np.dot(terms[k:], np.exp((float(nu[k]) - nu[k:]) * t)))
         assert abs(acc - whole) <= 2.0 * math.ulp(whole)
@@ -474,7 +479,7 @@ def test_deflated_rows_keep_their_tail(large_spec) -> None:
     population = spec.params.population
     nu = spec.eigenvalues
     t = 4.0 * population
-    first = np.argmax(spec.sym_coeffs * spec.sym_vectors != 0.0, axis=1)
+    first = spec.first_mode
     deflated = np.flatnonzero(first > 0)
     for n in deflated:
         sign, log_p = conditional_density_exact_log(spec, int(n), t)
@@ -513,14 +518,116 @@ def test_queries_raise_no_floating_point_error() -> None:
 # stored fields
 # ---------------------------------------------------------------------------
 
-def test_no_square_field_but_sym_vectors() -> None:
+def test_no_square_field_but_weighted_vectors() -> None:
     _, spec = _spec(16, 0.5)
     square = [
         f.name
         for f in dataclasses.fields(spec)
         if isinstance(getattr(spec, f.name), np.ndarray) and getattr(spec, f.name).ndim == 2
     ]
-    assert square == ["sym_vectors"]
+    assert square == ["weighted_vectors"]
+
+
+def _unweighted_reference(population: int, rho: float) -> tuple:
+    """(nu, V, beta, log D) with V the orthonormal eigenvectors from a direct
+    eigh_tridiagonal call, reversed to ascending nu and C-ordered, and beta
+    taken from that V: the data the queries once weighted on every call."""
+    from scipy.linalg import eigh_tridiagonal
+
+    params = ModelParams(population, rho)
+    gen = build_generator(params)
+    lam, vec = eigh_tridiagonal(gen.diag, np.sqrt(gen.sup * gen.sub))
+    vec = np.ascontiguousarray(vec[:, ::-1])
+    states = np.arange(population) + 1.0
+    log_d = 0.5 * (np.log(states) + steady_state_log_weights(params))
+    beta = vec.T @ np.exp(log_d - np.log(states))
+    return -lam[::-1], vec, beta, log_d
+
+
+def _reference_log(ref: tuple, n: int, t: float) -> tuple:
+    """conditional_density_exact_log with row n weighted by beta per call."""
+    nu, vec, beta, log_d = ref
+    terms = beta * vec[n]
+    acc, shift = _shifted_mode_sum(terms, nu, int(np.argmax(terms != 0.0)), t)
+    if acc == 0.0:
+        return 0, -math.inf
+    return (1 if acc > 0.0 else -1), math.log(abs(acc)) - shift - float(log_d[n])
+
+
+STORED = [(48, 0.25), (48, 1.5), (1000, 0.25), (1000, 1.5)]
+
+
+@pytest.mark.parametrize("population, rho", STORED)
+def test_weighted_storage_keeps_every_bit(population: int, rho: float) -> None:
+    ref = _unweighted_reference(population, rho)
+    nu, vec, beta, log_d = ref
+    _, spec = _spec(population, rho)
+    assert (spec.eigenvalues == nu).all() and (spec.sym_coeffs == beta).all()
+    weighted = spec.weighted_vectors
+    assert (weighted == beta * vec).all() and weighted.flags.c_contiguous
+    assert (spec.first_mode == np.argmax(weighted != 0.0, axis=1)).all()
+    assert (weighted[np.arange(population), spec.first_mode] != 0.0).all()
+    for n, t in _grid(population):
+        assert conditional_density_exact_log(spec, n, t) == _reference_log(ref, n, t)
+    coeffs = beta * beta
+    for tau in np.geomspace(1e-3, 4.0, 17):
+        k = int(np.argmax(coeffs != 0.0))
+        acc, shift = _shifted_mode_sum(coeffs, nu, k, float(tau * population))
+        assert unconditional_density_exact_log(spec, float(tau * population)) == (
+            math.log(acc) - shift
+        )
+
+
+def test_weighted_storage_on_the_oracle_table() -> None:
+    table = json.loads(ORACLE_TABLE.read_text())
+    assert table["population"] == 48
+    refs, specs = {}, {}
+    for rho, n, t, _, _ in table["points"]:
+        if rho not in refs:
+            refs[rho] = _unweighted_reference(48, rho)
+            specs[rho] = _spec(48, rho)[1]
+        assert conditional_density_exact_log(specs[rho], n, t) == _reference_log(refs[rho], n, t)
+    assert len(table["points"]) == 384
+
+
+def test_decomposition_peak_is_lapacks_own() -> None:
+    # stevd's eigenvector matrix z and its workspace hold about 2 N^2
+    # doubles; the weighted copy is made after the workspace is freed, so a
+    # further N x N buffer would raise the peak by half
+    population = 2000
+    params = ModelParams(population, 0.25)
+    gen = build_generator(params)
+    _spec(8, 0.25)  # imports scipy.linalg outside the traced window
+    tracemalloc.start()
+    try:
+        spectral_decompose(gen, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 2 * population**2 * 8
+
+
+def test_trajectory_is_one_product_without_square_temporaries() -> None:
+    population = 2000
+    nu, vec, beta, log_d = _unweighted_reference(population, 0.25)
+    _, spec = _spec(population, 0.25)
+    times = np.array([0.0, 0.5 * population, 4.0 * population])
+    tracemalloc.start()
+    try:
+        traj = spectral_trajectory(spec, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # the former formula, with its N x N product of V and beta
+    weighted = (vec * beta) @ np.exp(-np.outer(nu, times))
+    np.clip(weighted, 0.0, None, out=weighted)
+    scale = np.exp(log_d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = weighted / scale[:, None]
+    want[scale == 0.0] = 0.0
+    assert (traj.values == want).all()
+    assert (np.outer(nu, times) > EXP_UNDERFLOW).any()
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +640,7 @@ def test_oracle_matches_double_solver() -> None:
     nu_mp = np.array([float(v) for v in dec.eigenvalues])
     assert np.abs(nu_mp - spec.eigenvalues).max() < 1e-12
     # c_j = beta_j v_j(0) / D_0 in the basis scaled to phi_j(0) = 1
-    c = spec.sym_coeffs * spec.sym_vectors[0, :] / spec.scale[0]
+    c = spec.weighted_vectors[0] / spec.scale[0]
     c_mp = np.array([float(v) for v in dec.cond_coeffs])
     assert np.abs((c_mp - c) / c_mp).max() < 1e-10
     d_mp = np.array([float(v) for v in dec.uncond_coeffs])

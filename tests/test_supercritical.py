@@ -347,8 +347,9 @@ def test_large_rho_zeroth_vector_harmonic_correction() -> None:
     params = ModelParams(6, 1e4)
     spec = _decompose(params)
     limit = large_rho_spectrum(params)
-    # phi_0(n) = (v_0(n) / D_n) / (v_0(0) / D_0), scaled so phi_0(0) = 1
-    phi0 = spec.sym_vectors[:, 0] / spec.scale
+    # phi_0(n) = (v_0(n) / D_n) / (v_0(0) / D_0), scaled so phi_0(0) = 1,
+    # with v_0 = W[:, 0] / beta_0
+    phi0 = spec.weighted_vectors[:, 0] / spec.sym_coeffs[0] / spec.scale
     phi0 = phi0 / phi0[0]
     for n in range(6):
         want = limit.phi0_correction(n)
