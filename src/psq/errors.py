@@ -42,27 +42,13 @@ class UnsupportedN(PSQError):
 
 
 class InvalidInput(PSQError, ValueError):
-    """Argument outside a function's domain: model parameters with N < 2 or rho
-    not positive and finite; for the exact evaluators a time that is NaN or
-    negative, a state index that is not an integer in 0..N-1, or a generator
-    whose dimension is not the population N; an ODE horizon that is not
-    positive and finite, a state index outside the N = 2 / N = 3 closed
-    forms, or oracle digits outside [15, 200]; for the infinite model a
-    state that is not a nonnegative integer, a rho that is not positive and
-    finite, a time that is not positive and finite (at least 10 for the tail
-    formula), a transform argument that is not finite with a positive real
-    part, an inversion step_scale other than 1 or 2, or a tail mass bound
-    outside (0, 1); for the rho < 1 asymptotics a state index outside
-    0..N-1, a negative time, a scaled coordinate (xi, tau, x, sigma, the
-    scale of a log density) outside the formula's sign range, a Delta that
-    is not finite, a negative mode index, or an unknown regime kind; for the
-    rho > 1 asymptotics an xi outside (0, 1], a tau out of its sign range, a
-    negative mode index, a state index outside 0..N-1, or a tail constant
-    asked for at a state that is not a nonnegative integer or at a rho that
-    is not finite; for the special
-    functions a Hermite index outside [0, 200], a loop-series index outside
-    [0, 500], a negative harmonic index, or a rho outside (0, 1) for the
-    transition-layer integral."""
+    """Argument outside a function's domain, by the input rule of psq.core:
+    an index that is not an int or numpy integer in its range, or a real
+    argument outside its interval (NaN always; +inf or -inf unless the
+    interval is closed at that end).  Arguments no common rule covers are
+    checked where they are used (a time grid, a transform argument, a
+    generator of another dimension, Carlson's argument pair, a regime kind,
+    an inversion step_scale, the oracle digits) and raise it too."""
 
 
 # -- special functions / numerics --------------------------------------------

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_index, check_real
 from .errors import (
     DegenerateSpectrum,
     InvalidInput,
@@ -55,16 +56,16 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Population size N and traffic intensity rho (time unit: mean service)."""
+    """Population size N >= 2, stored as an int, and traffic intensity rho,
+    positive and finite (time unit: mean service)."""
 
     population: int
     rho: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.population, int) or self.population < 2:
-            raise InvalidInput(f"population must be an integer >= 2, got {self.population}")
-        if not 0.0 < self.rho < math.inf:
-            raise InvalidInput(f"rho must be positive and finite, got {self.rho}")
+        check_index("population", self.population, 2)
+        check_real("rho", self.rho, 0.0, math.inf, "()")
+        object.__setattr__(self, "population", int(self.population))
 
     @property
     def regime(self) -> Regime:
@@ -228,20 +229,6 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
     )
 
 
-def _check_time(t: float) -> None:
-    """Raise InvalidInput unless t >= 0 (+inf allowed)."""
-    if not t >= 0.0:
-        raise InvalidInput(f"time must be >= 0, got {t}")
-
-
-def _check_state(spec: SpectralDecomposition, n: int) -> None:
-    """Raise InvalidInput unless n is an integer state index in 0..N-1."""
-    if not (isinstance(n, (int, np.integer)) and 0 <= n < spec.params.population):
-        raise InvalidInput(
-            f"state index {n!r} is not an integer in 0..{spec.params.population - 1}"
-        )
-
-
 def _shifted_mode_sum(
     coeffs: np.ndarray, nu: np.ndarray, k: int, t: float
 ) -> tuple[float, float]:
@@ -278,8 +265,8 @@ def conditional_density_exact_log(
     range.  t = +inf gives (0, -inf); a NaN or negative t or a state n
     outside 0..N-1 raises InvalidInput.
     """
-    _check_state(spec, n)
-    _check_time(t)
+    check_index("n", n, 0, spec.params.population - 1)
+    check_real("t", t, 0.0, math.inf, "[]")
     acc, shift = _shifted_mode_sum(
         spec.weighted_vectors[n], spec.eigenvalues, int(spec.first_mode[n]), t
     )
@@ -295,7 +282,7 @@ def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> fl
     The nonnegative mode sum is shifted by its first nonzero mode, as in
     conditional_density_exact_log.  Raises InvalidInput for a NaN or
     negative t."""
-    _check_time(t)
+    check_real("t", t, 0.0, math.inf, "[]")
     coeffs = spec.uncond_coeffs
     acc, shift = _shifted_mode_sum(
         coeffs, spec.eigenvalues, int(np.argmax(coeffs != 0.0)), t
@@ -345,6 +332,17 @@ def unit_mass_residual(spec: SpectralDecomposition) -> float:
     return float(abs((spec.uncond_coeffs / spec.eigenvalues).sum() - 1.0))
 
 
+def _time_grid(times: np.ndarray) -> np.ndarray:
+    """times as a float array; InvalidInput unless it is a nonempty 1-D
+    array of finite values >= 0."""
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InvalidInput(f"times must be a nonempty 1-D array, got shape {grid.shape}")
+    if not (np.isfinite(grid).all() and grid.min() >= 0.0):
+        raise InvalidInput("times must be finite and >= 0")
+    return grid
+
+
 def integrate_ode(
     gen: Generator,
     times: np.ndarray,
@@ -362,19 +360,16 @@ def integrate_ode(
     """
     from scipy.linalg import eigh_tridiagonal
 
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise InvalidInput(f"times must be a nonempty 1-D array, got shape {grid.shape}")
-    if not (np.isfinite(grid).all() and grid[0] >= 0.0 and (np.diff(grid) >= 0.0).all()):
-        raise InvalidInput("times must be finite, >= 0 and nondecreasing")
+    grid = _time_grid(times)
+    if not (np.diff(grid) >= 0.0).all():
+        raise InvalidInput("times must be nondecreasing")
     nu_max = float(-eigh_tridiagonal(
         gen.diag, np.sqrt(gen.sup * gen.sub), eigvals_only=True
     )[0])
     if step is None:
         step = 0.1 / nu_max
-    elif not 0.0 < step < math.inf:
-        raise InvalidInput(f"step must be positive and finite, got {step}")
-    elif step * nu_max > 0.1:
+    check_real("step", step, 0.0, math.inf, "()")
+    if step * nu_max > 0.1:
         raise StepTooLarge(
             f"step {step} violates step * nu_max = {step * nu_max:.3f} <= 0.1"
         )
@@ -409,11 +404,12 @@ def spectral_trajectory(
     One product W @ E with E[j, i] = exp(-nu_j t_i), so the memory beyond
     the decomposition is O(N len(times)).  E is 0.0, the value exp rounds
     to, wherever nu_j t_i > EXP_UNDERFLOW, without calling exp there.
-    Raises NegativeDensity where a weighted value dips below -1e-12."""
-    grid = np.asarray(times, dtype=float)
+    times is a nonempty 1-D array, finite and >= 0.  Raises NegativeDensity
+    where a weighted value dips below -1e-12."""
+    grid = _time_grid(times)
     decay = np.multiply.outer(spec.eigenvalues, grid)
     expo = np.zeros_like(decay)
-    np.exp(-decay, out=expo, where=~(decay > EXP_UNDERFLOW))  # NaN stays NaN
+    np.exp(-decay, out=expo, where=decay <= EXP_UNDERFLOW)
     weighted = spec.weighted_vectors @ expo
     if weighted.min() < NEGATIVE_CLAMP:
         raise NegativeDensity(
@@ -450,12 +446,14 @@ def small_n_rates(params: ModelParams) -> np.ndarray:
 
 
 def closed_form_small_N(params: ModelParams, n: int, t: float) -> float:
-    """p_n(t) from the printed N = 2 and N = 3 solutions."""
+    """p_n(t) from the printed N = 2 and N = 3 solutions, for a state n in
+    0..N-1 and a finite t >= 0."""
+    nu = small_n_rates(params)
+    check_index("n", n, 0, params.population - 1)
+    check_real("t", t, 0.0, math.inf, "[)")
     rho = params.rho
     if params.population == 2:
-        if n not in (0, 1):
-            raise InvalidInput(f"state index {n} outside 0..1")
-        nu0, nu1 = small_n_rates(params)
+        nu0, nu1 = nu
         root = math.sqrt((rho + 4.0) / rho)
         if n == 0:
             return 0.5 * root * (
@@ -465,25 +463,20 @@ def closed_form_small_N(params: ModelParams, n: int, t: float) -> float:
         return 0.25 * root * (
             math.exp(-nu0 * t) / nu0 - math.exp(-nu1 * t) / nu1
         )
-    if params.population == 3:
-        if n not in (0, 1, 2):
-            raise InvalidInput(f"state index {n} outside 0..2")
-        nu = small_n_rates(params)
-        # Solve the 3x3 system fixing the t = 0 values (1, 1/2, 1/3).
-        a = np.vstack([
-            rho / (nu - 1.0 - 2.0 * rho / 3.0),
-            -1.5 * np.ones(3),
-            1.0 / (nu - 1.0),
-        ])
-        rhs = np.array([1.0, 0.5, 1.0 / 3.0])
-        coeff = np.linalg.solve(a, rhs)
-        decay = np.exp(-nu * t)
-        if n == 0:
-            return float((rho * coeff / (nu - 1.0 - 2.0 * rho / 3.0) * decay).sum())
-        if n == 1:
-            return float((-1.5 * coeff * decay).sum())
-        return float((coeff / (nu - 1.0) * decay).sum())
-    raise UnsupportedN(f"closed forms exist for N in {{2, 3}}, got {params.population}")
+    # Solve the 3x3 system fixing the t = 0 values (1, 1/2, 1/3).
+    a = np.vstack([
+        rho / (nu - 1.0 - 2.0 * rho / 3.0),
+        -1.5 * np.ones(3),
+        1.0 / (nu - 1.0),
+    ])
+    rhs = np.array([1.0, 0.5, 1.0 / 3.0])
+    coeff = np.linalg.solve(a, rhs)
+    decay = np.exp(-nu * t)
+    if n == 0:
+        return float((rho * coeff / (nu - 1.0 - 2.0 * rho / 3.0) * decay).sum())
+    if n == 1:
+        return float((-1.5 * coeff * decay).sum())
+    return float((coeff / (nu - 1.0) * decay).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +559,13 @@ def oracle_decompose(
 
 
 def oracle_conditional_log(dec: OracleDecomposition, n: int, t: float):
-    """ln p_n(t) as an mpf, resolving exponentially small tails; raises
-    NegativeDensity where the mode sum is not positive."""
+    """ln p_n(t) as an mpf for a state n in 0..N-1 and a finite t >= 0,
+    resolving exponentially small tails; raises NegativeDensity where the
+    mode sum is not positive."""
     import mpmath as mp
+
+    check_index("n", n, 0, dec.params.population - 1)
+    check_real("t", t, 0.0, math.inf, "[)")
 
     with mp.workdps(dec.digits + 10):
         tt = mp.mpf(repr(t))

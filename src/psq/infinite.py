@@ -42,7 +42,7 @@ import sys
 
 import numpy as np
 
-from .core import LogDensityApprox
+from .core import LogDensityApprox, check_index, check_real
 from .errors import (
     InvalidInput,
     InversionUnstable,
@@ -137,10 +137,8 @@ def transform_phat(n: int, theta, rho: float):
     where it has not met the tolerance _SWEEP_MAX_ROWS rows past n,
     TransformNotConverged is raised naming n, the first such theta and rho.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise InvalidInput(f"n must be a nonnegative integer, got {n}")
-    if not 0.0 < rho < math.inf:
-        raise InvalidInput(f"rho must be positive and finite, got {rho}")
+    check_index("n", n)
+    check_real("rho", rho, 0.0, math.inf, "()")
     thetas = np.asarray(theta, dtype=complex)
     if thetas.ndim > 1:
         raise InvalidInput(f"theta must be a scalar or 1-D, got shape {thetas.shape}")
@@ -177,8 +175,7 @@ def invert_density(
     pi/(t*step_scale), Euler-accelerated over trailing partial-sum blocks.
     step_scale = 2 halves the step for the self-consistency check.
     """
-    if not 0.0 < t < math.inf:
-        raise InvalidInput(f"t must be positive and finite, got {t}")
+    check_real("t", t, 0.0, math.inf, "()")
     if step_scale not in (1, 2):
         raise InvalidInput(f"step_scale must be 1 or 2, got {step_scale}")
     a = _AW_A / (2.0 * t)
@@ -212,16 +209,14 @@ def invert_density(
 
 
 def tail_asym_infinite(n: int, t: float, rho: float) -> LogDensityApprox:
-    """Large-t corner tail; evaluate with .log_value(t).
+    """Large-t corner tail, for a finite t >= 10; evaluate with .log_value(t).
 
     rho < 1: stretched-exponential decay with a t^(1/3) term in the exponent
     and algebraic prefactor t^(-5/6).  rho > 1: pure algebraic tail
     C t^(-alpha0), constant delegated to the overloaded-regime module.
     """
-    if not t >= 10.0:
-        raise InvalidInput(f"tail formula requires t >= 10, got {t}")
-    if not 0.0 < rho < math.inf:
-        raise InvalidInput(f"rho must be positive and finite, got {rho}")
+    check_real("t", t, 10.0, math.inf, "[)")
+    check_real("rho", rho, 0.0, math.inf, "()")
     if rho >= 1.0:
         # log C first: it raises NotSupercritical at rho = 1
         log_const = algebraic_tail_log_constant(n, rho)
@@ -259,8 +254,7 @@ def tail_truncation_time(n: int, rho: float, mass_bound: float) -> float:
     NoTruncationTime where that t is not a finite double, and at rho = 1,
     where neither tail formula holds.
     """
-    if not 0.0 < mass_bound < 1.0:
-        raise InvalidInput(f"mass_bound must lie in (0, 1), got {mass_bound}")
+    check_real("mass_bound", mass_bound, 0.0, 1.0, "()")
     where = f"(n={n}, rho={rho}, mass_bound={mass_bound})"
     if rho == 1.0:
         raise NoTruncationTime(f"no tail formula at rho = 1 {where}")

@@ -92,6 +92,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_index, check_real
 from .errors import (
     BracketFailure,
     InvalidInput,
@@ -226,8 +227,7 @@ def carlson_rf_rd(x, y, z: float) -> tuple[float, float, float]:
 
 def hermite_He(j: int, z: float) -> float:
     """He_j(z) with He_0 = 1, He_1 = z, He_{j+1} = z He_j - j He_{j-1}."""
-    if not (isinstance(j, (int, np.integer)) and 0 <= j <= 200):
-        raise InvalidInput(f"Hermite index must be an integer in [0, 200], got {j!r}")
+    check_index("j", j, 0, 200)
     if j == 0:
         return 1.0
     prev, cur = 1.0, z
@@ -250,8 +250,7 @@ def loop_series_Q_log(n: int) -> float:
     [0, 500], and its log is within 2.2e-16 relative of the true log Q(n)
     there.
     """
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= 500):
-        raise InvalidInput(f"series index must be an integer in [0, 500], got {n!r}")
+    check_index("n", n, 0, 500)
     term = 1.0
     total = 1.0
     j = 0
@@ -282,9 +281,10 @@ def cut_integral(n: int, a: float, z_minus: float, z_plus: float) -> np.ndarray:
 
     from I_1 = 2 pi i (a z_+ + (1-a) z_-).  Where |z_+| > |z_-| the loop
     integrals are its dominant solution, so the forward recursion is stable.
-    a, z_minus and z_plus are real; the result holds the orders 0..n.  At
-    coincident points it is z_0^m.
+    n is an index >= 0 and a, z_minus and z_plus are real; the result holds
+    the orders 0..n.  At coincident points it is z_0^m.
     """
+    check_index("n", n)
     out = np.empty(n + 1)
     total = z_plus + z_minus
     prod = z_plus * z_minus
@@ -309,8 +309,7 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
     Gaussian factor confines the mass to |y| = O(1/(1-rho)), so the infinite
     tail is truncated where the exponent is below -1500.
     """
-    if not 0.0 < rho < 1.0:
-        raise InvalidInput(f"rho must be in (0, 1), got {rho}")
+    check_real("rho", rho, 0.0, 1.0, "()")
     p = rho / (1.0 - rho)
     s = 1.0 - rho
     width = math.sqrt(2.0 * 1500.0) / s
@@ -332,8 +331,7 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
 
 def harmonic(n: int) -> float:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise InvalidInput(f"harmonic index must be an integer >= 0, got {n!r}")
+    check_index("n", n)
     return math.fsum(1.0 / k for k in range(1, n + 1))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogDensityApprox
+from .core import LogDensityApprox, check_index, check_real
 from .errors import (
     BracketFailure,
     CurveSingularity,
@@ -70,16 +70,6 @@ def _require_subcritical(rho: float) -> None:
         raise NotSubcritical(f"rho = {rho} is not subcritical")
 
 
-def _require_state(n: int, big_n: int) -> None:
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= big_n - 1):
-        raise InvalidInput(f"n must be an integer in [0, {big_n - 1}], got {n!r}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise InvalidInput(f"{name} must be positive and finite, got {value}")
-
-
 def _big_r(xi: float, rho: float) -> float:
     # R = sqrt(rho^2 xi^2 + 4 rho xi (1 - sqrt(rho))), the recurring radical
     return math.sqrt(rho * xi * (rho * xi + 4.0 * (1.0 - math.sqrt(rho))))
@@ -104,20 +94,17 @@ class CriticalCurves:
     rho: float
 
     def tau0(self, xi: float) -> float:
-        if not xi >= 0.0:
-            raise InvalidInput(f"xi must be nonnegative, got {xi}")
+        check_real("xi", xi, 0.0, math.inf, "[)")
         return math.log1p(self.rho * xi / (1.0 - self.rho)) / self.rho
 
     def tau_star(self, xi: float) -> float:
-        if not xi >= 0.0:
-            raise InvalidInput(f"xi must be nonnegative, got {xi}")
+        check_real("xi", xi, 0.0, math.inf, "[)")
         c = 1.0 - math.sqrt(self.rho)
         lift = (self.rho * xi + _big_r(xi, self.rho)) / (2.0 * c)
         return math.log1p(lift) / self.rho
 
     def xi0(self, tau: float) -> float:
-        if not tau >= 0.0:
-            raise InvalidInput(f"tau must be nonnegative, got {tau}")
+        check_real("tau", tau, 0.0, math.inf, "[)")
         try:
             growth = math.expm1(self.rho * tau)
         except OverflowError:
@@ -125,8 +112,7 @@ class CriticalCurves:
         return (1.0 - self.rho) / self.rho * growth
 
     def xi_star(self, tau: float) -> float:
-        if not tau >= 0.0:
-            raise InvalidInput(f"tau must be nonnegative, got {tau}")
+        check_real("tau", tau, 0.0, math.inf, "[)")
         c = 1.0 - math.sqrt(self.rho)
         try:
             s = math.sinh(0.5 * self.rho * tau)
@@ -202,9 +188,8 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     rho = params.rho
     _require_subcritical(rho)
     big_n = params.population
-    _require_state(n, big_n)
-    if not 0.0 <= t < math.inf:
-        raise InvalidInput(f"t must be finite and nonnegative, got {t}")
+    check_index("n", n, 0, big_n - 1)
+    check_real("t", t, 0.0, math.inf, "[)")
     sqrt_n = math.sqrt(big_n)
     xi = n / big_n
     tau = t / big_n
@@ -253,8 +238,7 @@ def d1d2_curve_sigma(x: float, rho: float) -> float:
     vertical asymptote x = (1 - sqrt(rho))^(-1/2).
     """
     _require_subcritical(rho)
-    if not x > 0.0:
-        raise InvalidInput(f"x must be positive, got {x}")
+    check_real("x", x, 0.0, math.inf, "()")
     c = 1.0 - math.sqrt(rho)
     q = c**0.25
     rx = math.sqrt(x)
@@ -273,8 +257,7 @@ def d2d3_curve_sigma(x: float, rho: float) -> float:
     """
     _require_subcritical(rho)
     c = 1.0 - math.sqrt(rho)
-    if not 0.0 < x < c**-0.5:
-        raise InvalidInput(f"x must be in (0, {c ** -0.5:.6f}), got {x}")
+    check_real("x", x, 0.0, c**-0.5, "()")
     return _fixed_n_lhs(x, c)[0] / (2.0 * math.sqrt(rho))
 
 
@@ -415,8 +398,7 @@ def _psi_value(xi: float, tau: float, rho: float) -> float:
 def r3_big_f(xi: float, rho: float) -> float:
     """Tau-free exponent F(xi); F(0) = 0 and F < 0 for xi > 0."""
     _require_subcritical(rho)
-    if not xi >= 0.0:
-        raise InvalidInput(f"xi must be nonnegative, got {xi}")
+    check_real("xi", xi, 0.0, math.inf, "[)")
     if xi == 0.0:
         return 0.0
     return _psi_value(xi, 0.0, rho) + 0.5 * xi * math.log(rho)
@@ -425,8 +407,7 @@ def r3_big_f(xi: float, rho: float) -> float:
 def r3_j_factor(xi: float, rho: float) -> float:
     """Spatial constant J(xi) shared by R3 and T2."""
     _require_subcritical(rho)
-    if not xi > 0.0:
-        raise InvalidInput(f"xi must be positive, got {xi}")
+    check_real("xi", xi, 0.0, math.inf, "()")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     rr = _big_r(xi, rho)
@@ -624,8 +605,7 @@ def _t2_root(delta: float, rho: float) -> tuple[float, float, float]:
     """a(Delta) of the T2 layer equation with the decay and prefactor
     integrals of `_t2_integrals` at it; see `t2_solve_A`."""
     _require_subcritical(rho)
-    if not math.isfinite(delta):
-        raise InvalidInput(f"Delta must be finite, got {delta}")
+    check_real("Delta", delta, -math.inf, math.inf, "()")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     rt_c = math.sqrt(c)
@@ -682,7 +662,7 @@ def t2_evaluate(
     """
     rho = params.rho
     _require_subcritical(rho)
-    _require_positive("xi", xi)
+    check_real("xi", xi, 0.0, math.inf, "()")
     if abs(delta) > _T2_DELTA_MAX:
         raise OutOfRegion(f"Delta={delta} is outside the T2 band |Delta| <= {_T2_DELTA_MAX}")
     sr = math.sqrt(rho)
@@ -1065,8 +1045,8 @@ def bl_xsigma_evaluate(
     """
     rho = params.rho
     _require_subcritical(rho)
-    _require_positive("x", x)
-    _require_positive("sigma", sigma)
+    check_real("x", x, 0.0, math.inf, "()")
+    check_real("sigma", sigma, 0.0, math.inf, "()")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     vstar = c**-0.5
@@ -1159,15 +1139,15 @@ def bl_nsigma_evaluate(n: int, sigma: float, params: ModelParams) -> LogDensityA
 
     Raises RootNotBracketed when sigma is too large for the bracket
     (0, vstar (1 - 1e-12)), from sigma of 93.5 at rho = 0.25 and 144.5 at
-    rho = 0.75.  Every sigma below that is solved: however close the root
-    comes to vstar, the doubles there resolve log alpha.  BracketFailure is
-    raised below sigma of about 1e-194, where the prefactor underflows.
+    rho = 0.75 up to sigma = +inf.  Every sigma below that is solved:
+    however close the root comes to vstar, the doubles there resolve log
+    alpha.  BracketFailure is raised below sigma of about 1e-194, where the
+    prefactor underflows.
     """
     rho = params.rho
     _require_subcritical(rho)
-    _require_state(n, params.population)
-    if not sigma > 0.0:
-        raise InvalidInput(f"sigma must be positive, got {sigma}")
+    check_index("n", n, 0, params.population - 1)
+    check_real("sigma", sigma, 0.0, math.inf, "(]")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     rt_c = math.sqrt(c)
@@ -1229,8 +1209,8 @@ def bl_xtau_evaluate(x: float, tau: float, params: ModelParams) -> LogDensityApp
     """Boundary-layer density at n = x sqrt(N), t = tau N; fully closed form."""
     rho = params.rho
     _require_subcritical(rho)
-    _require_positive("x", x)
-    _require_positive("tau", tau)
+    check_real("x", x, 0.0, math.inf, "()")
+    check_real("tau", tau, 0.0, math.inf, "()")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     q4 = c**0.25
@@ -1262,8 +1242,8 @@ def bl_ntau_evaluate(n: int, tau: float, params: ModelParams) -> LogDensityAppro
     """Boundary-layer density at fixed n and t = tau N; fully closed form."""
     rho = params.rho
     _require_subcritical(rho)
-    _require_state(n, params.population)
-    _require_positive("tau", tau)
+    check_index("n", n, 0, params.population - 1)
+    check_real("tau", tau, 0.0, math.inf, "()")
     sr = math.sqrt(rho)
     c = 1.0 - sr
     coeff_o1 = (
@@ -1295,8 +1275,7 @@ _EIGVEC_X_MAX = 4.0
 
 
 def _check_mode_index(j: int, population: int) -> None:
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise InvalidInput(f"mode index must be a nonnegative integer, got {j!r}")
+    check_index("j", j)
     if j > population**0.25 / 4.0:
         raise IndexTooLarge(
             f"mode index {j} exceeds N^(1/4)/4 = {population ** 0.25 / 4.0:.3f}"
@@ -1356,10 +1335,8 @@ def eigvec_shape_g(j: int, x: float, rho: float) -> float:
     where mode j's sign changes accumulate.
     """
     _require_subcritical(rho)
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise InvalidInput(f"mode index must be a nonnegative integer, got {j!r}")
-    if not x > 0.0:
-        raise InvalidInput(f"x must be positive, got {x}")
+    check_index("j", j)
+    check_real("x", x, 0.0, math.inf, "()")
     c = 1.0 - math.sqrt(rho)
     q4 = c**0.25
     rx = math.sqrt(x)
@@ -1392,7 +1369,7 @@ def eigvec_asym_sub(j: int, n: int, params: ModelParams) -> tuple[int, float]:
     _require_subcritical(rho)
     big_n = params.population
     _check_mode_index(j, big_n)
-    _require_state(n, big_n)
+    check_index("n", n, 0, big_n - 1)
     sr = math.sqrt(rho)
     c = 1.0 - sr
     ln_rho = math.log(rho)

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .core import check_index, check_real
 from .errors import (
     IndexTooLarge,
-    InvalidInput,
     NotSupercritical,
     OutOfRegion,
 )
@@ -49,10 +47,8 @@ class XiTauPoint:
     tau: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.xi <= 1.0:
-            raise InvalidInput(f"xi must lie in (0, 1], got {self.xi}")
-        if not 0.0 <= self.tau < math.inf:
-            raise InvalidInput(f"tau must be finite and nonnegative, got {self.tau}")
+        check_real("xi", self.xi, 0.0, 1.0, "(]")
+        check_real("tau", self.tau, 0.0, math.inf, "[)")
 
     @classmethod
     def from_indices(cls, n: int, t: float, population: int) -> XiTauPoint:
@@ -147,8 +143,7 @@ def small_n_scale_super(n: int, tau: float, params: ModelParams) -> float:
     stays finite as rho falls to 1, where alpha0 grows without bound.
     """
     _require_supercritical(params)
-    if not tau > 0.0:
-        raise InvalidInput(f"tau must be positive, got {tau}")
+    check_real("tau", tau, 0.0, math.inf, "()")
     rho = params.rho
     alpha0 = rho / (rho - 1.0)
     spread = params.population * -math.expm1(-rho * tau) / rho
@@ -169,10 +164,8 @@ def algebraic_tail_log_constant(n: int, rho: float) -> float:
     it stays finite as rho falls to 1, where alpha0 grows without bound and
     C itself leaves double range.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise InvalidInput(f"n must be a nonnegative integer, got {n}")
-    if not rho < math.inf:
-        raise InvalidInput(f"rho must be finite, got {rho}")
+    check_index("n", n)
+    check_real("rho", rho, -math.inf, math.inf, "()")
     if rho <= 1.0:
         raise NotSupercritical(f"algebraic tail requires rho > 1, got {rho}")
     alpha0 = rho / (rho - 1.0)
@@ -191,11 +184,11 @@ def algebraic_tail_log_constant(n: int, rho: float) -> float:
 
 
 def uncond_correction_kernel(tau: float, rho: float) -> float:
-    """O(N^-2) unconditional correction; integrates to zero over tau."""
+    """O(N^-2) unconditional correction at a finite tau >= 0; integrates to
+    zero over tau."""
     if rho <= 1.0:
         raise NotSupercritical(f"correction kernel requires rho > 1, got {rho}")
-    if not tau >= 0.0:
-        raise InvalidInput(f"tau must be nonnegative, got {tau}")
+    check_real("tau", tau, 0.0, math.inf, "[)")
     gap = rho - 1.0
     return rho**3 / gap**5 * (tau + (1.0 - 2.0 * rho) / rho) * math.exp(
         -rho * tau / gap
@@ -205,7 +198,8 @@ def uncond_correction_kernel(tau: float, rho: float) -> float:
 def unconditional_super(
     tau: float, params: ModelParams, renormalized: bool = False
 ) -> float:
-    """Unconditional sojourn density at t = N tau for rho > 1.
+    """Unconditional sojourn density at t = N tau, tau finite and >= 0, for
+    rho > 1.
 
     Two-term form by default.  The renormalized variant moves the secular
     tau/N part of the correction into the exponent of the leading term,
@@ -213,8 +207,7 @@ def unconditional_super(
     kept as is.
     """
     _require_supercritical(params)
-    if not tau >= 0.0:
-        raise InvalidInput(f"tau must be nonnegative, got {tau}")
+    check_real("tau", tau, 0.0, math.inf, "[)")
     rho = params.rho
     big_n = params.population
     gap = rho - 1.0
@@ -238,8 +231,7 @@ def unconditional_super(
 def eigen_asym_super(j: int, params: ModelParams) -> float:
     """Eigenvalue approximation nu_j ~ (rho j + rho/(rho-1))/N for j = O(1)."""
     _require_supercritical(params)
-    if j < 0:
-        raise InvalidInput(f"index must be nonnegative, got {j}")
+    check_index("j", j)
     if j > params.population / 10:
         raise IndexTooLarge(
             f"j = {j} outside the j = O(1) window for N = {params.population}"
@@ -298,20 +290,22 @@ class LargeRhoSpectrum:
         return 1.0 / self.params.population
 
     def nu_j_approx(self, j: int) -> float:
+        check_index("j", j)
         if not 1 <= j <= self.params.population - 1:
             raise IndexTooLarge(f"j must be in [1, N-1], got {j}")
         return self.params.rho * j / self.params.population
 
     def phi0_correction(self, n: int) -> float:
         """Zeroth eigenvector through order 1/rho: 1 + H_n/rho."""
-        self._check_state(n)
+        check_index("n", n, 0, self.params.population - 1)
         return 1.0 + harmonic(n) / self.params.rho
 
     def phi_j_leading(self, j: int, n: int) -> float:
         """Leading eigenvector, falling-factorial form; zero for n >= N-j."""
-        self._check_state(n)
         big_n = self.params.population
-        if not 0 <= j <= big_n - 1:
+        check_index("j", j)
+        check_index("n", n, 0, big_n - 1)
+        if j > big_n - 1:
             raise IndexTooLarge(f"j must be in [0, N-1], got {j}")
         if n >= big_n - j:
             return 0.0
@@ -324,9 +318,10 @@ class LargeRhoSpectrum:
 
     def phi_j_leading_series(self, j: int, n: int) -> float:
         """Same eigenvector by coefficient extraction (alternating sum)."""
-        self._check_state(n)
         big_n = self.params.population
-        if not 0 <= j <= big_n - 1:
+        check_index("j", j)
+        check_index("n", n, 0, big_n - 1)
+        if j > big_n - 1:
             raise IndexTooLarge(f"j must be in [0, N-1], got {j}")
         total = 0.0
         for r in range(max(n - j, 0), n + 1):
@@ -343,10 +338,6 @@ class LargeRhoSpectrum:
             )
             total += term
         return total
-
-    def _check_state(self, n: int) -> None:
-        if not 0 <= n <= self.params.population - 1:
-            raise InvalidInput(f"state index must be in [0, N-1], got {n}")
 
 
 def large_rho_spectrum(params: ModelParams) -> LargeRhoSpectrum:

@@ -857,8 +857,10 @@ BAD_INPUT = {
     "d2d3-curve": lambda: d2d3_curve_sigma(5.0, 0.25),
     "r3-big-f": lambda: r3_big_f(-0.1, 0.25),
     "r3-big-f-nan": lambda: r3_big_f(math.nan, 0.25),
+    "r3-big-f-inf": lambda: r3_big_f(math.inf, 0.25),
     "r3-j-factor": lambda: r3_j_factor(0.0, 0.25),
     "r3-j-factor-nan": lambda: r3_j_factor(math.nan, 0.25),
+    "r3-j-factor-inf": lambda: r3_j_factor(math.inf, 0.25),
     "t2-solve": lambda: t2_solve_A(math.nan, 0.25),
     "t2-evaluate": lambda: t2_evaluate(0.0, 1.0, PARAMS),
     "t2-evaluate-nan": lambda: t2_evaluate(math.nan, 0.0, PARAMS),
@@ -884,9 +886,12 @@ BAD_INPUT = {
     "eigvec-shape-j-fraction": lambda: eigvec_shape_g(0.5, 1.0, 0.25),
     "eigvec-shape-x": lambda: eigvec_shape_g(0, 0.0, 0.25),
     "eigvec-shape-x-nan": lambda: eigvec_shape_g(0, math.nan, 0.25),
+    "eigvec-shape-x-inf": lambda: eigvec_shape_g(0, math.inf, 0.25),
     "eigvec-n": lambda: eigvec_asym_sub(0, -1, PARAMS),
     "eigvec-n-fraction": lambda: eigvec_asym_sub(0, 2.5, PARAMS),
     "log-value-scale": lambda: LogDensityApprox(-1.0).log_value(0.0),
+    "log-value-scale-nan": lambda: LogDensityApprox(-1.0).log_value(math.nan),
+    "log-value-scale-inf": lambda: LogDensityApprox(-1.0).log_value(math.inf),
 }
 
 
