@@ -20,12 +20,23 @@ decomposition.  The one N x N array kept is the weighted matrix
 W[n, j] = beta_j v_j(n): spectral_decompose copies z into it (columns
 reversed to ascending nu, C order) once LAPACK has freed its workspace and
 scales it in place, so no third N x N buffer is ever live.
+
+The exact queries sum the modes in linear space, shifted by the first live
+mode k so that every factor exp(-(nu_j - nu_k) t) is at most one.  The sum
+stops where that factor would leave the normal range of doubles, past
+(nu_j - nu_k) t = EXP_SUBNORMAL: exp and the dot product are slow on
+subnormal numbers, and every dropped term lies below DBL_MIN: it is a
+subnormal factor times |W[n, j]| <= |beta_j| <= ||D p(0)|| < 1, or times
+d_j = beta_j^2 < 1.  A sum within what the dropped terms could add,
+|acc| <= (number dropped) * DBL_MIN, has no known sign and reads as sign 0,
+the same answer as a sum that cancels to exactly 0.0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +53,13 @@ from .errors import (
 NEGATIVE_CLAMP = -1e-12
 ORACLE_MAX_N = 64
 DEFAULT_ORACLE_DIGITS = 50
-# exp(-x) rounds to exactly 0.0 in doubles for every x above this
+# exp(-x) rounds to exactly 0.0 in doubles for every x above this; the cut
+# of spectral_trajectory, whose unshifted terms are divided by D_n afterwards
 EXP_UNDERFLOW = 746.0
+# exp(-x) is subnormal, below the least normal double DBL_MIN, for every x
+# above this (-log DBL_MIN); the cut of the shifted mode sum
+EXP_SUBNORMAL = 708.3964185322641
+DBL_MIN = sys.float_info.min
 # rows and columns per tile of the eigenvector copy and of the weighting pass
 _BLOCK = 128
 
@@ -112,7 +128,8 @@ class SpectralDecomposition:
     n's term vector), and first_mode[n] is the first j with W[n, j] != 0
     (0 for a row of zeros; LAPACK's divide and conquer leaves exact zeros at
     the head of some rows).  Then p_n(t) = (1/D_n) sum_j W[n, j] exp(-nu_j t)
-    and p(t) = sum_j d_j exp(-nu_j t) with uncond_coeffs d_j = beta_j^2.
+    and p(t) = sum_j d_j exp(-nu_j t) with uncond_coeffs d_j = beta_j^2;
+    first_uncond_mode is the first j with d_j != 0.
 
     W is the only N x N field; v_j is not kept, and where beta_j != 0 it is
     W[:, j] / beta_j.  The classical basis phi_j (scaled so phi_j(0) = 1)
@@ -127,6 +144,7 @@ class SpectralDecomposition:
     uncond_coeffs: np.ndarray
     weighted_vectors: np.ndarray  # W[n, j] = beta_j v_j(n)
     first_mode: np.ndarray  # first j with W[n, j] != 0
+    first_uncond_mode: int  # first j with d_j != 0
     sym_coeffs: np.ndarray  # beta_j = <v_j, D p(0)>
     scale: np.ndarray  # D_n
     log_scale: np.ndarray  # log D_n, finite even where D_n underflows
@@ -185,8 +203,8 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
     With D_n = sqrt((n+1) pi_n), D A D^{-1} is symmetric tridiagonal with the
     same diagonal and off-diagonal sqrt(sup[n] * sub[n]); its eigenvectors map
     back by D^{-1}.  They are stored weighted, W[n, j] = beta_j v_j(n), with
-    each row's first nonzero mode.  Raises InvalidInput when gen and params
-    disagree on N.
+    each row's first nonzero mode and that of the unconditional sum.  Raises
+    InvalidInput when gen and params disagree on N.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -217,12 +235,14 @@ def spectral_decompose(gen: Generator, params: ModelParams) -> SpectralDecomposi
         rows = weighted[lo:lo + _BLOCK]
         rows *= beta
         first_mode[lo:lo + _BLOCK] = np.argmax(rows != 0.0, axis=1)
+    uncond = beta * beta
     return SpectralDecomposition(
         params=params,
         eigenvalues=nu,
-        uncond_coeffs=beta * beta,
+        uncond_coeffs=uncond,
         weighted_vectors=weighted,
         first_mode=first_mode,
+        first_uncond_mode=int(np.argmax(uncond != 0.0)),
         sym_coeffs=beta,
         scale=d,
         log_scale=log_d,
@@ -234,23 +254,29 @@ def _shifted_mode_sum(
 ) -> tuple[float, float]:
     """(acc, shift) with sum_j coeffs_j exp(-nu_j t) = acc exp(-shift).
 
-    nu is ascending, t >= 0, and k is the first nonzero coefficient (any
-    index when every coefficient is zero).  The shift is nu_k t, so every
-    factor exp((nu_k - nu_j) t) lies in (0, 1] and the sum is one dot
-    product in linear space.  Modes with (nu_j - nu_k) t > EXP_UNDERFLOW,
-    whose factor is exactly 0.0, are not summed.  acc is 0.0 when t = +inf,
-    when every coefficient is zero or when the terms cancel to exactly 0.0.
+    nu is ascending, t >= 0, every |coeffs_j| is below one, and k is the
+    first nonzero coefficient (any index when every coefficient is zero).
+    The shift is nu_k t, so every factor exp((nu_k - nu_j) t) lies in (0, 1]
+    and the sum is one dot product in linear space.  Modes with
+    (nu_j - nu_k) t > EXP_SUBNORMAL, whose factor is subnormal, are not
+    summed; each would add less than DBL_MIN.  acc is 0.0 when t = +inf,
+    when every coefficient is zero, and when |acc| is within the dropped
+    modes' count times DBL_MIN (with none dropped: when the terms cancel to
+    exactly 0.0), where the sum's sign is not resolved.
     """
     if t == math.inf or coeffs[k] == 0.0:
         return 0.0, math.inf
     nu_k = float(nu[k])
     stop = nu.size
-    if t * (float(nu[-1]) - nu_k) > EXP_UNDERFLOW:
-        stop = int(np.searchsorted(nu, nu_k + EXP_UNDERFLOW / t, side="right"))
+    if t * (float(nu[-1]) - nu_k) > EXP_SUBNORMAL:
+        stop = int(np.searchsorted(nu, nu_k + EXP_SUBNORMAL / t, side="right"))
     factors = np.subtract(nu_k, nu[k:stop])
     factors *= t
     np.exp(factors, out=factors)
-    return float(np.dot(coeffs[k:stop], factors)), nu_k * t
+    acc = float(np.dot(coeffs[k:stop], factors))
+    if abs(acc) <= (nu.size - stop) * DBL_MIN:
+        acc = 0.0
+    return acc, nu_k * t
 
 
 def conditional_density_exact_log(
@@ -258,12 +284,13 @@ def conditional_density_exact_log(
 ) -> tuple[int, float]:
     """(sign, log|p_n(t)|) for tail studies.
 
-    Sign 0, with log -inf, means the mode sum is exactly 0.0: every term
-    underflowed, or the terms cancelled to 0.0.  The sum over row n of the
-    weighted vectors is shifted by its first nonzero mode, so large-t tails
-    keep relative accuracy even when exp(-nu_0 t) or D_n underflow double
-    range.  t = +inf gives (0, -inf); a NaN or negative t or a state n
-    outside 0..N-1 raises InvalidInput.
+    Sign 0, with log -inf, means the mode sum is not resolved: every term
+    underflowed, the terms cancelled to 0.0, or the sum lies within what
+    the dropped subnormal terms could add (see _shifted_mode_sum).  The sum
+    over row n of the weighted vectors is shifted by its first nonzero mode,
+    so large-t tails keep relative accuracy even when exp(-nu_0 t) or D_n
+    underflow double range.  t = +inf gives (0, -inf); a NaN or negative t
+    or a state n outside 0..N-1 raises InvalidInput.
     """
     check_index("n", n, 0, spec.params.population - 1)
     check_real("t", t, 0.0, math.inf, "[]")
@@ -280,12 +307,11 @@ def unconditional_density_exact_log(spec: SpectralDecomposition, t: float) -> fl
     """log p(t), finite far beyond the underflow point of p itself.
 
     The nonnegative mode sum is shifted by its first nonzero mode, as in
-    conditional_density_exact_log.  Raises InvalidInput for a NaN or
-    negative t."""
+    conditional_density_exact_log; -inf where that sum is not resolved.
+    Raises InvalidInput for a NaN or negative t."""
     check_real("t", t, 0.0, math.inf, "[]")
-    coeffs = spec.uncond_coeffs
     acc, shift = _shifted_mode_sum(
-        coeffs, spec.eigenvalues, int(np.argmax(coeffs != 0.0)), t
+        spec.uncond_coeffs, spec.eigenvalues, spec.first_uncond_mode, t
     )
     if acc == 0.0:
         return -math.inf

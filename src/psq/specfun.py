@@ -307,8 +307,10 @@ def parabolic_cylinder_H(delta1: float, rho: float) -> float:
 
     Evaluated by tanh-sinh quadrature after shifting u = y + Delta_1; the
     Gaussian factor confines the mass to |y| = O(1/(1-rho)), so the infinite
-    tail is truncated where the exponent is below -1500.
+    tail is truncated where the exponent is below -1500.  Delta_1 is a
+    finite real and 0 < rho < 1.
     """
+    check_real("delta1", delta1, -math.inf, math.inf, "()")
     check_real("rho", rho, 0.0, 1.0, "()")
     p = rho / (1.0 - rho)
     s = 1.0 - rho

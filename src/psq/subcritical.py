@@ -294,8 +294,12 @@ class R2Terms:
 
 
 def r2_root(xi: float, tau: float, rho: float) -> float:
-    """Saddle parameter B(xi, tau); raises OutOfRegion outside R2's closure."""
+    """Saddle parameter B(xi, tau).  Raises InvalidInput unless xi lies in
+    (0, 1] and tau is a real below +inf, and OutOfRegion outside R2's
+    closure, tau <= 0 included."""
     _require_subcritical(rho)
+    check_real("xi", xi, 0.0, 1.0, "(]")
+    check_real("tau", tau, -math.inf, math.inf, "[)")
     if tau <= 0.0:
         raise OutOfRegion(f"R2 requires tau > 0, got {tau}")
     e_rt = math.exp(rho * tau)

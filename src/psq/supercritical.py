@@ -78,7 +78,10 @@ def xi_tau_expansion(pt: XiTauPoint, params: ModelParams) -> SuperExpansion:
     Exact for tau = 0 through order N^-2: the value reduces to
     1/(N xi) - 1/(N xi)^2, the start of the expansion of 1/(n+1).  For
     rho < 1 (region-R1 reuse) the formula loses meaning once
-    xi + Delta_*(tau) <= 0, i.e. past the first critical curve.
+    xi + Delta_*(tau) <= 0, i.e. past the first critical curve, and raises
+    OutOfRegion there.  It raises OutOfRegion too where a factor of the
+    linear form overflows double range: for rho > 1 from about
+    rho tau = 355 on, where (xi + Delta_*)^2 does.
     """
     rho = params.rho
     if params.regime is Regime.CRITICAL:
@@ -88,35 +91,43 @@ def xi_tau_expansion(pt: XiTauPoint, params: ModelParams) -> SuperExpansion:
 
     exponent = 1.0 / (rho - 1.0)
     alpha0 = rho / (rho - 1.0)
-    decay = math.exp(-rho * tau)
-    growth = math.expm1(rho * tau)
-    delta_star = (rho - 1.0) / rho * growth
-    shifted = xi + delta_star
-    if rho < 1.0 and shifted <= 0.0:
-        raise OutOfRegion(
-            f"xi + Delta_*(tau) = {shifted:.6e} <= 0: point lies beyond the "
-            "validity curve of the leading term"
+    # math.expm1 and the powers raise OverflowError past double range.  For
+    # rho < 1 expm1 does so only beyond xi + Delta_*(tau) <= 0; otherwise a
+    # factor of the linear form has left double range, as a log form would not
+    try:
+        decay = math.exp(-rho * tau)
+        growth = math.expm1(rho * tau)
+        delta_star = (rho - 1.0) / rho * growth
+        shifted = xi + delta_star
+        if rho < 1.0 and shifted <= 0.0:
+            raise OutOfRegion(
+                f"xi + Delta_*(tau) = {shifted:.6e} <= 0: point lies beyond the "
+                "validity curve of the leading term"
+            )
+
+        bracket = (xi - (rho - 1.0) / rho) * decay + (rho - 1.0) / rho
+        leading = xi**exponent * math.exp(-alpha0 * tau) * bracket**-alpha0
+        lead_xi = leading * (exponent / xi - alpha0 * decay / bracket)
+
+        # correction kernel, vanishing identically at tau = 0
+        ep = growth + 1.0
+        kernel = (
+            (2.0 * rho - 1.0)
+            / (2.0 * (rho - 1.0) ** 2)
+            * growth
+            / shifted**2
+            * (ep + rho - rho * xi)
+            - rho * (rho + 1.0) / (rho - 1.0) ** 3 * growth / shifted
+            + rho * (3.0 - rho) / (2.0 * (rho - 1.0) ** 3) * (1.0 / xi - ep / shifted)
+            + rho
+            / (rho - 1.0) ** 4
+            * (1.0 + 2.0 * rho * rho * (xi - 1.0 + 1.0 / rho) / shifted)
+            * math.log(shifted / xi)
         )
-
-    bracket = (xi - (rho - 1.0) / rho) * decay + (rho - 1.0) / rho
-    leading = xi**exponent * math.exp(-alpha0 * tau) * bracket**-alpha0
-    lead_xi = leading * (exponent / xi - alpha0 * decay / bracket)
-
-    # correction kernel, vanishing identically at tau = 0
-    ep = growth + 1.0
-    kernel = (
-        (2.0 * rho - 1.0)
-        / (2.0 * (rho - 1.0) ** 2)
-        * growth
-        / shifted**2
-        * (ep + rho - rho * xi)
-        - rho * (rho + 1.0) / (rho - 1.0) ** 3 * growth / shifted
-        + rho * (3.0 - rho) / (2.0 * (rho - 1.0) ** 3) * (1.0 / xi - ep / shifted)
-        + rho
-        / (rho - 1.0) ** 4
-        * (1.0 + 2.0 * rho * rho * (xi - 1.0 + 1.0 / rho) / shifted)
-        * math.log(shifted / xi)
-    )
+    except OverflowError:
+        raise OutOfRegion(
+            f"the (xi, tau) expansion leaves double range at xi={xi}, tau={tau}"
+        ) from None
 
     correction = lead_xi + leading * kernel
     return SuperExpansion(

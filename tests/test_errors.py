@@ -119,6 +119,8 @@ BAD_INPUT = {
     "harmonic-index": lambda: harmonic(-1),
     "harmonic-index-fraction": lambda: harmonic(2.5),
     "parabolic-cylinder-rho": lambda: parabolic_cylinder_H(0.0, 1.0),
+    "parabolic-cylinder-delta1-inf": lambda: parabolic_cylinder_H(math.inf, 0.5),
+    "parabolic-cylinder-delta1-nan": lambda: parabolic_cylinder_H(math.nan, 0.5),
 }
 
 

@@ -15,6 +15,8 @@ import pytest
 
 from psq.errors import InvalidInput, NegativeDensity, PSQError, StepTooLarge, UnsupportedN
 from psq.exact import (
+    DBL_MIN,
+    EXP_SUBNORMAL,
     EXP_UNDERFLOW,
     Generator,
     ModelParams,
@@ -452,10 +454,56 @@ def test_mode_sum_matches_log_space_formula(large_spec) -> None:
         assert abs(got - _log_space_reference_uncond(spec, t)) <= 1e-12
 
 
-def test_mode_sum_cut_drops_only_exact_zeros(large_spec) -> None:
-    # Modes past (nu_j - nu_k) t > EXP_UNDERFLOW add exactly 0.0, so the cut
-    # sum equals the whole sum from the same first mode k, up to the order in
-    # which the dot product adds its terms.
+def _underflow_cut_sum(coeffs, nu, k: int, t: float) -> tuple:
+    """The former mode sum: cut only where the factor rounds to exactly 0.0,
+    past (nu_j - nu_k) t > EXP_UNDERFLOW, and 0.0 only for an exact 0.0."""
+    if t == math.inf or coeffs[k] == 0.0:
+        return 0.0, math.inf
+    nu_k = float(nu[k])
+    stop = nu.size
+    if t * (float(nu[-1]) - nu_k) > EXP_UNDERFLOW:
+        stop = int(np.searchsorted(nu, nu_k + EXP_UNDERFLOW / t, side="right"))
+    factors = np.exp(np.subtract(nu_k, nu[k:stop]) * t)
+    return float(np.dot(coeffs[k:stop], factors)), nu_k * t
+
+
+def test_mode_sum_keeps_the_underflow_cut_bits(large_spec) -> None:
+    # The subnormal terms the sum now drops change no sign and no bit of any
+    # grid query against the former cut at EXP_UNDERFLOW.
+    spec = large_spec
+    population = spec.params.population
+    nu = spec.eigenvalues
+    for n, t in _grid(population):
+        acc, shift = _underflow_cut_sum(spec.weighted_vectors[n], nu, int(spec.first_mode[n]), t)
+        want = (0, -math.inf) if acc == 0.0 else (
+            1 if acc > 0.0 else -1,
+            math.log(abs(acc)) - shift - float(spec.log_scale[n]),
+        )
+        assert conditional_density_exact_log(spec, n, t) == want
+    coeffs = spec.uncond_coeffs
+    for tau in np.geomspace(1e-3, 4.0, 17):
+        t = float(tau * population)
+        acc, shift = _underflow_cut_sum(coeffs, nu, spec.first_uncond_mode, t)
+        assert unconditional_density_exact_log(spec, t) == math.log(acc) - shift
+
+
+def test_queries_stay_out_of_the_subnormal_range(large_spec) -> None:
+    # exp and the dot product are slow on subnormal numbers; the former cut
+    # at EXP_UNDERFLOW made 85-170 of the 289 conditional and 5-10 of the 17
+    # unconditional grid queries of each configuration raise here
+    spec = large_spec
+    population = spec.params.population
+    with np.errstate(all="raise"):
+        for n, t in _grid(population):
+            conditional_density_exact_log(spec, n, t)
+        for tau in np.geomspace(1e-3, 4.0, 17):
+            unconditional_density_exact_log(spec, float(tau * population))
+
+
+def test_mode_sum_cut_drops_only_subnormal_terms(large_spec) -> None:
+    # Modes past (nu_j - nu_k) t > EXP_SUBNORMAL add less than DBL_MIN each,
+    # so the cut sum equals the whole sum from the same first mode k, up to
+    # the order in which the dot product adds its terms.
     spec = large_spec
     nu = spec.eigenvalues
     cut = 0
@@ -466,8 +514,25 @@ def test_mode_sum_cut_drops_only_exact_zeros(large_spec) -> None:
         assert shift == float(nu[k]) * t
         whole = float(np.dot(terms[k:], np.exp((float(nu[k]) - nu[k:]) * t)))
         assert abs(acc - whole) <= 2.0 * math.ulp(whole)
-        cut += (float(nu[-1]) - float(nu[k])) * t > EXP_UNDERFLOW
+        cut += (float(nu[-1]) - float(nu[k])) * t > EXP_SUBNORMAL
     assert cut > 0
+
+
+def test_sum_within_the_dropped_terms_reads_sign_zero() -> None:
+    # At this point the modes kept before the cut at EXP_SUBNORMAL sum to
+    # less than the dropped modes could add, so the sum's sign is not known
+    # and the query says so; read as is, the kept sum gives +1, log -674.96.
+    _, spec = _spec(2000, 0.25)
+    n, t = 327, 758.3541665732632
+    nu, terms, k = spec.eigenvalues, spec.weighted_vectors[n], int(spec.first_mode[n])
+    stop = int(np.searchsorted(nu, float(nu[k]) + EXP_SUBNORMAL / t, side="right"))
+    kept = float(np.dot(terms[k:stop], np.exp((float(nu[k]) - nu[k:stop]) * t)))
+    assert 0.0 < kept <= (nu.size - stop) * DBL_MIN
+    assert _shifted_mode_sum(terms, nu, k, t) == (0.0, float(nu[k]) * t)
+    assert conditional_density_exact_log(spec, n, t) == (0, -math.inf)
+    # every dropped term lies below DBL_MIN in the shifted scale
+    assert (np.abs(terms) < 1.0).all()
+    assert math.exp(-EXP_SUBNORMAL) >= DBL_MIN > math.exp(-math.nextafter(EXP_SUBNORMAL, 800.0))
 
 
 def test_deflated_rows_keep_their_tail(large_spec) -> None:
@@ -570,8 +635,9 @@ def test_weighted_storage_keeps_every_bit(population: int, rho: float) -> None:
     for n, t in _grid(population):
         assert conditional_density_exact_log(spec, n, t) == _reference_log(ref, n, t)
     coeffs = beta * beta
+    k = int(np.argmax(coeffs != 0.0))
+    assert spec.first_uncond_mode == k and coeffs[k] != 0.0
     for tau in np.geomspace(1e-3, 4.0, 17):
-        k = int(np.argmax(coeffs != 0.0))
         acc, shift = _shifted_mode_sum(coeffs, nu, k, float(tau * population))
         assert unconditional_density_exact_log(spec, float(tau * population)) == (
             math.log(acc) - shift

@@ -892,6 +892,9 @@ BAD_INPUT = {
     "log-value-scale": lambda: LogDensityApprox(-1.0).log_value(0.0),
     "log-value-scale-nan": lambda: LogDensityApprox(-1.0).log_value(math.nan),
     "log-value-scale-inf": lambda: LogDensityApprox(-1.0).log_value(math.inf),
+    "r2-root-xi-nan": lambda: subcritical.r2_root(math.nan, 1.0, 0.25),
+    "r2-root-xi-negative": lambda: subcritical.r2_root(-1.0, 1.0, 0.25),
+    "r2-root-tau-nan": lambda: subcritical.r2_root(0.3, math.nan, 0.25),
 }
 
 
@@ -899,6 +902,12 @@ BAD_INPUT = {
 def test_bad_input_raises_invalid_input(case: str) -> None:
     with pytest.raises(InvalidInput):
         BAD_INPUT[case]()
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, -math.inf])
+def test_r2_root_refuses_tau_at_most_zero_as_out_of_region(tau: float) -> None:
+    with pytest.raises(OutOfRegion, match="tau > 0"):
+        subcritical.r2_root(0.3, tau, 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,22 @@ def test_subcritical_reuse_stops_at_curve() -> None:
         xi_tau_expansion(XiTauPoint(0.5, 1.1 * tau_edge), params)
 
 
+@pytest.mark.parametrize(
+    "xi, tau, rho",
+    [
+        # math.expm1(rho tau) overflows: past the curve for rho < 1, the
+        # linear value out of double range for rho > 1
+        (0.5, 1e3, 2.0),
+        (0.5, 3e3, 0.25),
+        # (xi + Delta_*)^2 overflows from about rho tau = 355
+        (0.5, 200.0, 2.0),
+    ],
+)
+def test_expansion_past_double_range_is_out_of_region(xi, tau, rho) -> None:
+    with pytest.raises(OutOfRegion):
+        xi_tau_expansion(XiTauPoint(xi, tau), ModelParams(10**6, rho))
+
+
 def test_small_xi_leading_matches_printed_factor() -> None:
     rho, tau = 2.0, 0.3
     params = ModelParams(10**6, rho)
