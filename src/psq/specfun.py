@@ -2,7 +2,8 @@
 
 Contents
 --------
-elliptic_KE            complete elliptic integrals K, E by the AGM
+agm                    the arithmetic-geometric mean and its gradient: psq's one AGM
+elliptic_KE            complete elliptic integrals K, E from it
 carlson_rf_rd          Carlson's R_F and R_D, and J, a divided difference of R_D,
                        on a positive or a complex-conjugate pair
 hermite_He             probabilists' Hermite polynomials
@@ -109,46 +110,56 @@ _EPS = 2.0**-52
 # elliptic integrals
 # ---------------------------------------------------------------------------
 
+def agm(x: float, y: float) -> tuple[float, float]:
+    """The arithmetic-geometric mean M of x, y > 0 and q = S / ((x - y)(x + y)),
+    S = sum_{n>=1} 2^(n-1) c_n^2 with c_n = (a_(n-1) - b_(n-1)) / 2.
+
+    a <- (a+b)/2, b <- sqrt(ab) runs on (x, y) over the larger, so the stop
+    at |a - b| < 1e-15 is relative and (1, k') runs unscaled.  q gives M's
+    gradient, dM/dx = (M/x)(1/2 + q), dM/dy = (M/y)(1/2 - q), and at (1, k')
+    E = K (1 - k^2 (1/2 + q)), K = pi/(2M), with no difference formed.
+    """
+    scale = x if x >= y else y
+    a = x / scale
+    b = y / scale
+    d = a - b
+    c0_sq = d * (a + b)
+    s = 0.0
+    weight = 0.25  # 2^(n-1) c_n^2 = 2^(n-3) d^2, d = a_(n-1) - b_(n-1)
+    while abs(d) >= 1e-15:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        s += weight * d * d
+        weight *= 2.0
+        d = a - b
+    return scale * a, s / c0_sq if s else 0.0
+
+
 @dataclass(frozen=True)
 class EllipticPair:
     """Complete elliptic integrals of the first and second kind at modulus k.
 
-    tail is the AGM sum r = sum_{n>=1} 2^(n-1) c_n^2 without its n = 0 term
-    k^2 / 2, so that E = K (1 - k^2/2 - r); r = O(k^4), which lets a caller
-    form K - E or (1 + k^2) E - (1 - k^2) K without the cancellation.
+    tail_ratio is `agm`'s q at (1, k'), E = K (1 - k^2 (1/2 + q)) with
+    q = O(k^2), which lets a caller form K - E or (1 + k^2) E - (1 - k^2) K
+    without the cancellation.
     """
 
     K: float
     E: float
-    tail: float
+    tail_ratio: float
 
 
 def elliptic_KE(k: float) -> EllipticPair:
     """K(k) and E(k) by the arithmetic-geometric mean, modulus convention.
 
-    AGM iterates a <- (a+b)/2, b <- sqrt(ab) from (1, k'), k' = sqrt(1-k^2);
-    K = pi/(2*AGM) and E = K*(1 - sum 2^(n-1) c_n^2) with c_n = (a_n-b_n)/2,
-    c_0 = k.  Iteration stops when successive means differ by < 1e-15.
-    k' is formed as sqrt((1-k)(1+k)), which keeps its relative accuracy as
-    k -> 1, where K ~ log(4/k') depends on it most.
+    K = pi/(2M) and E = K (1 - k^2 (1/2 + q)) from `agm` at (1, k'),
+    k' = sqrt(1 - k^2), formed as sqrt((1-k)(1+k)), which keeps its
+    relative accuracy as k -> 1, where K ~ log(4/k') depends on it most.
     """
     if not 0.0 <= k < 1.0:
         raise ModulusOutOfRange(f"modulus must be in [0, 1), got {k}")
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    c_sum = 0.5 * k * k  # 2^(-1) * c_0^2
-    tail = 0.0  # the same sum from n = 1, added up on its own
-    pow2 = 1.0
-    while abs(a - b) >= 1e-15:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        term = pow2 * c * c
-        c_sum += term
-        tail += term
-        pow2 *= 2.0
-    K = math.pi / (2.0 * a)
-    E = K * (1.0 - c_sum)
-    return EllipticPair(K=K, E=E, tail=tail)
+    m, q = agm(1.0, math.sqrt((1.0 - k) * (1.0 + k)))
+    K = math.pi / (2.0 * m)
+    return EllipticPair(K, K * (1.0 - k * k * (0.5 + q)), q)
 
 
 def _r_series(a: float, e2: float, e3: float, e4: float, e5: float) -> float:

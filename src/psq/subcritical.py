@@ -38,6 +38,7 @@ from .specfun import (
     BRENT_RTOL,
     BRENT_XTOL,
     EllipticPair,
+    agm,
     carlson_rf_rd,
     elliptic_KE,
     find_root_bracketed,
@@ -182,8 +183,8 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     """Assign (n, t) to the regime whose expansion should be used.
 
     Precedence: corner, then the small-n boundary layers, then the T1/T2
-    bands (T2's also |Delta| <= 8, where `t2_evaluate` holds), then the bulk
-    regions by position relative to the curves.
+    bands (T2's also |Delta| <= 8, where `t2_evaluate` holds, and only where
+    that band lies at t > 0), then the bulk regions by position.
     """
     rho = params.rho
     _require_subcritical(rho)
@@ -215,8 +216,9 @@ def classify(n: int, t: float, params: ModelParams) -> RegimeLabel:
     if abs(xi - xi_zero) <= _T1_WIDTH / sqrt_n:
         return RegimeLabel("T1", xi, tau, x, sigma)
     if abs(xi - xi_st) <= _T2_WIDTH / big_n**0.25:
-        delta = (t - big_n * curves.tau_star(xi)) / big_n**0.75
-        if abs(delta) <= _T2_DELTA_MAX:
+        t_star = big_n * curves.tau_star(xi)
+        delta = (t - t_star) / big_n**0.75
+        if abs(delta) <= _T2_DELTA_MAX and t_star > _T2_DELTA_MAX * big_n**0.75:
             return RegimeLabel("T2", xi, tau, x, sigma)
     if xi > xi_zero:
         return RegimeLabel("R1", xi, tau, x, sigma)
@@ -296,12 +298,15 @@ class R2Terms:
 def r2_root(xi: float, tau: float, rho: float) -> float:
     """Saddle parameter B(xi, tau).  Raises InvalidInput unless xi lies in
     (0, 1] and tau is a real below +inf, and OutOfRegion outside R2's
-    closure, tau <= 0 included."""
+    closure: tau <= 0, xi below xi*(tau), or no real saddle."""
     _require_subcritical(rho)
     check_real("xi", xi, 0.0, 1.0, "(]")
     check_real("tau", tau, -math.inf, math.inf, "[)")
     if tau <= 0.0:
         raise OutOfRegion(f"R2 requires tau > 0, got {tau}")
+    xi_st = critical_curves(rho).xi_star(tau)  # before e^(2 rho tau) overflows
+    if xi < xi_st:
+        raise OutOfRegion(f"xi={xi} < xi_star={xi_st:.6e}: past the second critical curve")
     e_rt = math.exp(rho * tau)
     em1 = math.expm1(rho * tau)
     lin = rho * xi * e_rt + 1.0 - e_rt * e_rt
@@ -529,49 +534,28 @@ def _t2_integrals(a_val: float, c: float) -> tuple[float, float, float]:
 
     With Q(w) = (c w^2 + a) w^2 + 1 and s = 1/w^2, each is the complete
     elliptic integral F0(a, c) = int_0^inf s^(-1/2) (s^2 + a s + c)^(-1/2) ds
-    = pi / AGM(x0, y0), x0 = sqrt((a + 2 sqrt(c)) / 4), y0 = c^(1/4), or part
-    of its gradient:
+    = pi / M, M = AGM(x0, y0), x0 = sqrt((a + 2 sqrt(c)) / 4), y0 = c^(1/4),
+    or part of its gradient:
 
         gap   = int_0^inf 2 (w^2 / sqrt(Q) - 1 / sqrt(c)) dw = 4 F0_a + 2 a F0_c
         decay = int_0^inf (4/3) Q^(-1/2) dw                 = (2/3) F0
         pref  = int_0^inf 2 w^4 Q^(-3/2) dw                  = -2 F0_c
 
     for every a > -2 sqrt(c), whether the roots of Q are real or complex.
-    The AGM M carries its derivatives M_x, M_y in x0 and y0 forward; every
-    term is positive, so nothing cancels.  The gap is taken as
-    -pi/M^2 (x0 M_x / sqrt(c) + a M_y / (2 c^(3/4))), in which the 1/x0 poles
-    of 4 F0_a and 2 a F0_c have already cancelled.  At or below the floor
-    a = -2 sqrt(c) all three are their limit, +inf.
+    `agm`'s q gives M's gradient, x0 M_x = M (1/2 + q) and y0 M_y =
+    M (1/2 - q), so gap = -F0 ((1/2 + q) / sqrt(c) + a (1/2 - q) / (2c)), in
+    which the 1/x0 poles of 4 F0_a and 2 a F0_c have already cancelled, and
+    pref = F0 ((1/2 + q) / (4 x0^2 sqrt(c)) + (1/2 - q) / (2c)).  At or
+    below the floor a = -2 sqrt(c) all three are their limit, +inf.
     """
     rt_c = math.sqrt(c)
     x0_sq = (a_val + 2.0 * rt_c) / 4.0
     if not x0_sq > 0.0:
         return math.inf, math.inf, math.inf
-    x0 = math.sqrt(x0_sq)
-    x, y = x0, c**0.25
-    x_x, x_y, y_x, y_y = 1.0, 0.0, 0.0, 1.0  # d(x, y) / d(x0, y0)
-    converged = False
-    for _ in range(64):
-        g = math.sqrt(x * y)
-        x, y, x_x, x_y, y_x, y_y = (
-            0.5 * (x + y),
-            g,
-            0.5 * (x_x + y_x),
-            0.5 * (x_y + y_y),
-            (y * x_x + x * y_x) / (2.0 * g),
-            (y * x_y + x * y_y) / (2.0 * g),
-        )
-        # one step past value convergence settles the derivatives too
-        if converged:
-            break
-        converged = abs(x - y) <= 1e-13 * x
-    m = 0.5 * (x + y)
-    m_x = 0.5 * (x_x + y_x)
-    m_y = 0.5 * (x_y + y_y)
-    scale = math.pi / (m * m)
-    c34 = c**0.75
-    gap = -scale * (x0 * m_x / rt_c + a_val * m_y / (2.0 * c34))
-    pref = scale * (m_x / (4.0 * x0 * rt_c) + m_y / (2.0 * c34))
+    m, q = agm(math.sqrt(x0_sq), c**0.25)
+    f0 = math.pi / m
+    gap = -f0 * ((0.5 + q) / rt_c + a_val * (0.5 - q) / (2.0 * c))
+    pref = f0 * ((0.5 + q) / (4.0 * x0_sq * rt_c) + (0.5 - q) / (2.0 * c))
     return gap, 2.0 * math.pi / (3.0 * m), pref
 
 
@@ -837,12 +821,11 @@ def _bl_eta_closed_form(alpha: float, c: float, pair: EllipticPair) -> float:
     With beta = 1/(c alpha) the integrand is sqrt(c (alpha - v)(beta - v) / v),
     and the integral is 2 sqrt(alpha) / (3 k^2) ((1 + k^2) E - (1 - k^2) K)
     at k^2 = c alpha^2.  That difference cancels at small k; with
-    E = K (1 - k^2/2 - r), r the AGM tail, it is
-    K k^2 (3/2 - k^2/2 - (1 + k^2) r / k^2), whose terms do not.
+    E = K (1 - k^2 (1/2 + q)), q the pair's tail_ratio, it is
+    K k^2 (3/2 - k^2/2 - (1 + k^2) q), whose terms do not.
     """
     k2 = c * alpha * alpha
-    tail_ratio = pair.tail / k2 if pair.tail else 0.0
-    bracket = 0.5 - k2 / 6.0 - (1.0 + k2) * tail_ratio / 3.0
+    bracket = 0.5 - k2 / 6.0 - (1.0 + k2) * pair.tail_ratio / 3.0
     return 2.0 * math.sqrt(alpha) * pair.K * bracket
 
 
@@ -852,16 +835,15 @@ def _fixed_n_lhs(alpha: float, c: float) -> tuple[float, float, EllipticPair]:
     elliptic_KE(sqrt(c) alpha) they come from.
 
     With beta = 1/(c alpha) and k = sqrt(c) alpha, F = 2 sqrt(beta / c)
-    (K - E), and with K - E = K k^2 (1/2 + r/k^2), r the AGM tail, that is
-    2 K (1/2 + r/k^2) alpha^(3/2); d(K - E)/dk = k E / (1 - k^2) makes its
-    derivative sqrt(alpha) (2E / (1 - k^2) - K (1/2 + r/k^2)): nothing
+    (K - E), and with K - E = K k^2 (1/2 + q), q the pair's tail_ratio,
+    that is 2 K (1/2 + q) alpha^(3/2); d(K - E)/dk = k E / (1 - k^2) makes
+    its derivative sqrt(alpha) (2E / (1 - k^2) - K (1/2 + q)): nothing
     cancels at small k.  It is the left side of the fixed-n layer equation
     and the complete part of the D3 one.
     """
     k = math.sqrt(c) * alpha
     pair = elliptic_KE(k)
-    tail_ratio = pair.tail / (k * k) if pair.tail else 0.0
-    k_minus_e_per_k2 = pair.K * (0.5 + tail_ratio)
+    k_minus_e_per_k2 = pair.K * (0.5 + pair.tail_ratio)
     root_alpha = math.sqrt(alpha)
     lhs = 2.0 * k_minus_e_per_k2 * alpha * root_alpha
     slope = root_alpha * (2.0 * pair.E / ((1.0 - k) * (1.0 + k)) - k_minus_e_per_k2)

@@ -18,6 +18,7 @@ from psq.errors import (
 )
 from psq import specfun
 from psq.specfun import (
+    agm,
     carlson_rf_rd,
     cut_integral,
     elliptic_KE,
@@ -35,6 +36,25 @@ from psq.specfun import (
 # ---------------------------------------------------------------------------
 # elliptic integrals
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1.0, 0.6), (0.6, 1.0), (1.0, 1e-8), (3e-9, 0.8), (2.0**400, 0.9), (0.7, 0.7)],
+)
+def test_agm_mean_and_gradient(x, y) -> None:
+    # M against 40-digit mpmath, and q through x dM/dx = M (1/2 + q) and
+    # y dM/dy = M (1/2 - q): either order, far apart and at any scale
+    m, q = agm(x, y)
+    with mp.workdps(40):
+        xm, ym = mp.mpf(x), mp.mpf(y)
+        want_m = mp.agm(xm, ym)
+        want_x = mp.diff(lambda s: mp.agm(xm * mp.exp(s), ym), 0)
+        want_y = mp.diff(lambda s: mp.agm(xm, ym * mp.exp(s)), 0)
+    assert m == pytest.approx(float(want_m), rel=2e-15, abs=0.0)
+    assert (m * (0.5 + q), m * (0.5 - q)) == pytest.approx(
+        (float(want_x), float(want_y)), rel=1e-14, abs=0.0
+    )
+
 
 def test_elliptic_at_zero() -> None:
     pair = elliptic_KE(0.0)

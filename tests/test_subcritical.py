@@ -10,18 +10,19 @@ quadratic has complex roots: it is checked against 40-digit mpmath next to
 the floor on both sides of v*, mid-range and where the pair turns real, and
 against the quadrature values it replaced.
 
-The T2 layer integrals are closed forms (one AGM with forward derivatives),
-checked against 30-digit mpmath quadrature, against their exact values at
-the double root a = 2 sqrt(c), and for their divergence at the floor
-a = -2 sqrt(c); `t2_evaluate` is checked against values recorded from the
-quadrature it replaced, and refuses Delta outside the band |Delta| <= 8
-that `classify` gives it.  The T2 and fixed-n sigma-layer equations are
-solved by Newton on their closed forms: the derivatives they use are
-checked against 40-digit mpmath, the closed-form eta integral against the
-quadrature and 50-digit mpmath, each solve's residual and AGM count over
-the parameter range by a hypothesis property test, and both run with the
-Brent, ladder and quadrature kernels made to raise.  Their reach has one
-edge each, and the fixed-n density next to v* matches 50-digit mpmath.
+The T2 layer integrals are closed forms (the shared AGM, whose ratio q
+gives the gradient), checked against 30-digit mpmath quadrature, against
+their exact values at the double root a = 2 sqrt(c), and for their
+divergence at the floor a = -2 sqrt(c); `t2_evaluate` is checked against
+values recorded from the quadrature it replaced, and refuses Delta
+outside the band |Delta| <= 8 that `classify` gives it.  The T2 and
+fixed-n sigma-layer equations are solved by Newton on their closed
+forms: the derivatives they use are checked against 40-digit mpmath, the
+closed-form eta integral against the quadrature and 50-digit mpmath,
+each solve's residual and AGM count over the parameter range by a
+hypothesis property test, and both run with the Brent, ladder and
+quadrature kernels made to raise.  Their reach has one edge each, and the
+fixed-n density next to v* matches 50-digit mpmath.
 
 The D2 and D3 layer equations, P and 2F - P, are solved by Newton too, on
 the Carlson forms of their integrals: those integrals against 40-digit
@@ -48,8 +49,12 @@ its predicted order, and the mode-0 spectral coefficient to the exact c_0;
 the eigenvector expansion stays finite, in log form, past double range;
 the layer is continuous across the D2/D3 curve, down to 1e-6 relative of
 it; the T2 points far outside the band in Delta, which gave a positive log
-density or a raw ValueError, go to R1/R2/R3; and R2's prefactor, in log
-form, stays finite where its linear form left double range.
+density or a raw ValueError, go to R1/R2/R3, and so do those whose band
+reaches t = 0; R2's prefactor, in log form, stays finite where its linear
+form left double range, and R2 refuses points past the second curve before
+e^(rho tau) overflows; R3 refuses tau up to its guard above that curve and
+its exponents are affine in tau; T1's Delta1 vanishes on the first curve
+and T1 approaches R1 on that side.
 """
 from __future__ import annotations
 
@@ -80,7 +85,7 @@ from psq.errors import (
 )
 from psq.exact import ModelParams, build_generator, steady_state_log_weights
 from psq.infinite import tail_asym_infinite
-from psq.supercritical import XiTauPoint
+from psq.supercritical import XiTauPoint, xi_tau_expansion
 from psq.specfun import elliptic_KE, find_root_bracketed, loop_series_Q_log
 from psq.subcritical import (
     LogDensityApprox,
@@ -107,8 +112,11 @@ from psq.subcritical import (
     eigvec_asym_sub,
     eigvec_shape_g,
     r3_big_f,
+    r3_evaluate,
     r3_j_factor,
     spectral_coeff_asym_sub,
+    t1_delta1,
+    t1_evaluate,
     t2_evaluate,
     t2_solve_A,
 )
@@ -910,6 +918,17 @@ def test_r2_root_refuses_tau_at_most_zero_as_out_of_region(tau: float) -> None:
         subcritical.r2_root(0.3, tau, 0.25)
 
 
+@pytest.mark.parametrize("tau", [2000.0, 3000.0])
+def test_r2_refuses_points_past_the_second_curve_before_overflow(tau: float) -> None:
+    # xi*(tau) is 2.8e217 at tau = 2000 and inf at 3000, far above xi = 0.3;
+    # e^(rho tau) squared left double range there, and r2_root returned nan
+    # (tau = 2000) or raised a raw OverflowError (tau = 3000)
+    with pytest.raises(OutOfRegion, match="second critical curve"):
+        subcritical.r2_root(0.3, tau, 0.25)
+    with pytest.raises(OutOfRegion, match="second critical curve"):
+        subcritical.r2_evaluate(XiTauPoint(0.3, tau), PARAMS)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue expansion against the exact spectrum
 # ---------------------------------------------------------------------------
@@ -1537,6 +1556,59 @@ def test_d2d3_curve_matches_mpmath(rho, frac) -> None:
 
 
 # ---------------------------------------------------------------------------
+# regions R3 and T1
+# ---------------------------------------------------------------------------
+
+
+def test_r3_refuses_tau_up_to_the_guard_above_the_second_curve() -> None:
+    xi = 0.3
+    tau_st = _CURVES.tau_star(xi)
+    for tau in (tau_st * 0.5, tau_st, tau_st * (1.0 + 1e-8)):
+        with pytest.raises(OutOfRegion):
+            r3_evaluate(XiTauPoint(xi, tau), PARAMS)
+    _, approx = r3_evaluate(XiTauPoint(xi, tau_st * (1.0 + 2e-8)), PARAMS)
+    assert math.isfinite(approx.log_value(PARAMS.population))
+
+
+def test_r3_exponents_are_affine_in_tau() -> None:
+    # psi, psi1 and psi2 have the tau slopes -c^2, -2 sqrt(rho c) and
+    # -sqrt(rho) c^(3/4), and F, psi's tau-free part, is r3_big_f
+    xi, rho = 0.3, PARAMS.rho
+    c = 1.0 - math.sqrt(rho)
+    slopes = (-c * c, -2.0 * math.sqrt(rho * c), -math.sqrt(rho) * c**0.75)
+    taus = [_CURVES.tau_star(xi) * f for f in (1.5, 2.0, 3.0, 5.0)]
+    terms = [r3_evaluate(XiTauPoint(xi, tau), PARAMS)[0] for tau in taus]
+    for lo, hi, tau_lo, tau_hi in zip(terms, terms[1:], taus, taus[1:]):
+        got = [(b - a) / (tau_hi - tau_lo) for a, b in (
+            (lo.psi, hi.psi), (lo.psi1, hi.psi1), (lo.psi2, hi.psi2)
+        )]
+        assert got == pytest.approx(slopes, rel=1e-12, abs=0.0)
+    for t in terms:
+        assert t.F == pytest.approx(r3_big_f(xi, rho), rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 1.0])
+def test_t1_delta1_is_zero_on_the_first_curve(tau) -> None:
+    xi = _CURVES.xi0(tau)
+    assert t1_delta1(XiTauPoint(xi, tau), PARAMS) == 0.0
+    assert t1_delta1(XiTauPoint(xi * (1.0 + 1e-3), tau), PARAMS) > 0.0
+
+
+def test_t1_approaches_r1_on_its_side() -> None:
+    # tau = 1 at N = 10^6, rho = 0.25: xi0 = 0.8521, and these xi lie at
+    # Delta1 = 3 and 6, where T1's log sat 9.6e-3 and 1.1e-3 from R1's
+    gaps = []
+    for xi, delta1 in ((0.8548373613, 3.0), (0.8576078974, 6.0)):
+        pt = XiTauPoint(xi, 1.0)
+        assert t1_delta1(pt, PARAMS) == pytest.approx(delta1, abs=1e-6)
+        r1 = xi_tau_expansion(pt, PARAMS).value
+        gaps.append(abs(math.log(t1_evaluate(pt, PARAMS)) - math.log(r1)))
+    assert gaps[0] <= 0.015
+    assert gaps[1] <= 0.002
+    assert gaps[1] < gaps[0] / 5.0
+
+
+# ---------------------------------------------------------------------------
 # seams, matches and known defects
 # ---------------------------------------------------------------------------
 
@@ -1588,10 +1660,11 @@ def test_t2_far_below_the_band_raises_a_psq_error() -> None:
     assert approx.log_value(PARAMS.population) <= 0.0
 
 
-@pytest.mark.parametrize("n, delta", [(27_900, -14.5), (27_900, -8.5), (5_000, 8.5), (5_000, 10.5)])
+@pytest.mark.parametrize("n, delta", [(27_900, -14.5), (27_900, -8.5), (8_500, 8.5), (8_500, 9.5)])
 def test_t2_band_ends_at_delta_8(n, delta) -> None:
     # at rho = 0.25 these points lie inside |xi - xi*| <= N^(-1/4), which
-    # reaches Delta = -14.5 at n = 27 900 and 10.5 at n = 5000, so the band
+    # reaches Delta = -14.5 at n = 27 900 and 9.66 at n = 8500 (below
+    # n = 8000 the band reaches t = 0 and no point is T2), so the band
     # in Delta decides.  Outside it classify sends the point on to R1/R2/R3
     # by position, whose evaluators give a finite, negative log density,
     # and t2_evaluate refuses it
@@ -1605,6 +1678,20 @@ def test_t2_band_ends_at_delta_8(n, delta) -> None:
         t2_evaluate(n / big_n, delta, PARAMS)
     t_in = big_n * _CURVES.tau_star(n / big_n) + math.copysign(8.0, delta) * big_n**0.75
     assert classify(n, t_in, PARAMS).kind == "T2"
+
+
+@pytest.mark.parametrize(
+    "rho, n, t", [(0.25, 4488, 0.556), (0.25, 7490, 214.1), (0.75, 5535, 2.10)]
+)
+def test_t2_band_reaching_t_zero_goes_to_r1(rho, n, t) -> None:
+    # inside |xi - xi*| <= N^(-1/4) and |Delta| <= 8, but N tau*(xi) <
+    # 8 N^(3/4), so the band reaches t = 0, where T2 gave log p of +2808.7,
+    # +4540.8 and +564.9; R1 gives the small-t density 1/(n+1)
+    params = ModelParams(10**6, rho)
+    assert classify(n, t, params).kind == "R1"
+    failure, log_p = adapters.EVALUATORS["R1"](n, t, params)
+    assert failure is None
+    assert log_p == pytest.approx(-math.log(n + 1), abs=0.01)
 
 
 def test_r2_prefactor_in_log_form_past_double_range() -> None:
